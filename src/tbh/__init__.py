@@ -3,11 +3,11 @@
 Subpackages by responsibility:
 
 * :mod:`tbh.scalars`, :mod:`tbh.matrices`: exact rational and tolerance
-  float arithmetic, dense matrices.
+  float arithmetic, dense matrices, column-sparse exact operators.
 * :mod:`tbh.params`, :mod:`tbh.partitions`: rectangle parameters,
   partitions, contents, tableaux and their moves.
 * :mod:`tbh.bratteli`: the ranked diagram of the centralizer tower.
-* :mod:`tbh.algebra`: relation catalogs as data, word evaluation.
+* :mod:`tbh.algebra`: relation catalogs as data, sparse word evaluation.
 * :mod:`tbh.seminormal`: explicit matrix modules, entry criteria,
   relation suites, simplicity certificates.
 * :mod:`tbh.oracle`: brute-force gl_n tensor-space cross-checks.

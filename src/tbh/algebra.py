@@ -14,8 +14,10 @@ catalogs are provided:
   x_i, y_i, z_i, t_{s_i}, used as an independent second suite.
 
 A word is a tuple of (coefficient, factors) terms; a generator is a
-(kind, index) pair.  ``evaluate_word`` realizes words as matrices given an
-assignment for some generators and a definition table for the rest.
+(kind, index) pair.  ``evaluate_word`` applies words to sparse columns,
+given exact column-sparse operators for some generators and a definition
+table for the rest.  The seminormal modules evaluate on the identity
+columns, the tensor oracle on the columns of its inclusion.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, UnassignedGenerator
-from .matrices import Matrix
+from .matrices import as_operator, identity_columns
 from .params import HeckeParams
 
 # ---------------------------------------------------------------------------
@@ -105,10 +107,6 @@ class RelationResult:
             "max_deviation": self.max_deviation,
             "exact": self.exact,
         }
-
-
-def report_to_json(results):
-    return [r.to_dict() for r in results]
 
 
 # ---------------------------------------------------------------------------
@@ -479,65 +477,91 @@ def definitions(params: HeckeParams, primary: str = "w"):
 # evaluation
 
 
-def evaluate_word(w, assignment, defs=None, dim=None) -> Matrix:
-    """Realize a formal word as a matrix.
+def evaluate_word(w, assignment, defs=None, columns=None, dim=None):
+    """Apply a formal word to a list of sparse columns, right to left.
 
-    Generators are resolved from ``assignment`` first, then recursively
-    from ``defs``.  ``dim`` is only needed for purely scalar words.
+    ``assignment`` maps generators to operators (anything ``as_operator``
+    accepts); a generator it lacks is replaced by its definition word from
+    ``defs``, applied to the same columns, so no product of operators is
+    ever formed.  ``columns`` are {row: entry} dicts without zero entries
+    over a row space of ``dim``; they default to the identity columns, in which case the result
+    is the word's matrix column by column.  Returns the image columns with
+    zero entries dropped, so two results are equal exactly when the words
+    agree on the columns.  The result may share dicts with the operators
+    and the input columns; treat it as read-only.
     """
-    if dim is None:
-        dim = next(iter(assignment.values())).dim
-    cache = {}
+    ops = {g: as_operator(v) for g, v in assignment.items()}
+    for g, op in ops.items():
+        if dim is None:
+            dim = op.dim
+        if op.dim != dim:
+            raise DimensionMismatch(f"generator {g} has dim {op.dim}, expected {dim}")
+    if columns is None:
+        if dim is None:
+            raise DimensionMismatch("identity columns need a dim or an assignment")
+        columns = identity_columns(dim)
 
-    def resolve(g):
-        if g in cache:
-            return cache[g]
-        if g in assignment:
-            val = assignment[g]
-        elif defs and g in defs:
-            val = _eval(defs[g])
-        else:
-            raise UnassignedGenerator(f"no assignment or definition for {g}")
-        if val.dim != dim:
-            raise DimensionMismatch(f"generator {g} has dim {val.dim}, expected {dim}")
-        cache[g] = val
-        return val
+    def apply_gen(g, cols):
+        op = ops.get(g)
+        if op is not None:
+            return op.apply(cols)
+        if defs and g in defs:
+            return apply_word(defs[g], cols)
+        raise UnassignedGenerator(f"no assignment or definition for {g}")
 
-    def _eval(wrd):
-        acc = Matrix.zero(dim)
+    def apply_word(wrd, cols):
+        # Terms often share trailing factors; each suffix is applied once.
+        images = {(): cols}
+        total = [{} for _ in cols]
         for coeff, factors in wrd:
-            if factors:
-                term = resolve(factors[0])
-                for g in factors[1:]:
-                    term = term * resolve(g)
-            else:
-                term = Matrix.identity(dim)
-            acc = acc + (term * coeff if coeff != 1 else term)
-        return acc
+            cur = cols
+            for pos in range(len(factors) - 1, -1, -1):
+                suffix = factors[pos:]
+                cached = images.get(suffix)
+                if cached is None:
+                    cached = images[suffix] = apply_gen(factors[pos], cur)
+                cur = cached
+            if coeff == 1:
+                if len(wrd) == 1:
+                    return cur
+                coeff = None
+            elif coeff.denominator == 1:
+                coeff = coeff.numerator
+            for acc, col in zip(total, cur):
+                for i, v in col.items():
+                    if coeff is not None:
+                        v = coeff * v
+                    if i in acc:
+                        acc[i] += v
+                    else:
+                        acc[i] = v
+        return [{i: v for i, v in acc.items() if v} for acc in total]
 
-    return _eval(w)
+    return apply_word(w, columns)
 
 
-def check_relations(catalog, assignment, defs=None, rel_tol=1e-9, dim=None):
-    """Evaluate every relation pair; per-relation pass/fail with deviations.
+def _max_deviation(lhs, rhs):
+    return max(
+        (
+            abs(float(a.get(i, 0) - b.get(i, 0)))
+            for a, b in zip(lhs, rhs)
+            for i in a.keys() | b.keys()
+        ),
+        default=0.0,
+    )
 
-    Exact comparison when both sides are exact matrices, tolerance (scaled
-    by the largest entry) otherwise.
+
+def check_relations(catalog, assignment, defs=None, columns=None, dim=None):
+    """Evaluate both sides of every relation pair on the same columns.
+
+    Every operator is exact, so every comparison is exact; a failing
+    relation reports its largest entrywise deviation as a float.
     """
     results = []
-    if dim is None:
-        dim = next(iter(assignment.values())).dim
     for rel in catalog:
-        lhs = evaluate_word(rel.lhs, assignment, defs, dim)
-        rhs = evaluate_word(rel.rhs, assignment, defs, dim)
-        exact = lhs.is_exact() and rhs.is_exact()
-        dev = lhs.max_deviation(rhs)
-        if exact:
-            passed = all(
-                a == b for r, s in zip(lhs.rows, rhs.rows) for a, b in zip(r, s)
-            )
-        else:
-            scale = max(1.0, lhs.max_abs(), rhs.max_abs())
-            passed = dev <= rel_tol * scale
-        results.append(RelationResult(rel.name, rel.family, passed, dev, exact))
+        lhs = evaluate_word(rel.lhs, assignment, defs, columns, dim)
+        rhs = evaluate_word(rel.rhs, assignment, defs, columns, dim)
+        passed = lhs == rhs
+        dev = 0.0 if passed else _max_deviation(lhs, rhs)
+        results.append(RelationResult(rel.name, rel.family, passed, dev, True))
     return results

@@ -93,13 +93,13 @@ def cmd_bratteli(args) -> int:
 
 
 def _verify_one(job):
-    params, lam, k, tol, dump_dir = job
+    params, lam, k, dump_dir = job
     module = seminormal.build_module(lam, params, k)
     seminormal.check_criteria(lam, params, k)
     if k >= 1:
-        seminormal.check_full_relations(module, rel_tol=tol)
+        seminormal.check_full_relations(module)
     cert = seminormal.check_simplicity(module)
-    dev_x, dev_y = seminormal.quadratic_deviation(module) if k >= 1 else (0.0, 0.0)
+    dev_x, dev_y = seminormal.quadratic_deviation(module) if k >= 1 else (0, 0)
     if dump_dir:
         import json
         from pathlib import Path
@@ -129,7 +129,7 @@ def cmd_seminormal(args) -> int:
         import os as _os
 
         _os.makedirs(args.dump, exist_ok=True)
-    jobs = [(params, lam, k, args.tolerance, args.dump) for lam in targets]
+    jobs = [(params, lam, k, args.dump) for lam in targets]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             outcomes = list(pool.map(_verify_one, jobs))
@@ -207,7 +207,6 @@ def build_parser():
     _add_rect_args(s)
     s.add_argument("--lambda", dest="lam", type=_parse_partition, default=None)
     s.add_argument("--all-lambda", action="store_true")
-    s.add_argument("--tolerance", type=float, default=1e-9)
     s.add_argument("--jobs", type=int, default=1)
     s.add_argument("--dump", default=None, help="directory for matrix/certificate JSON dumps")
     s.set_defaults(func=cmd_seminormal)

@@ -38,7 +38,19 @@ class VertexNotFound(TbhError):
 
 
 class UnassignedGenerator(TbhError):
-    """A word mentions a generator with no matrix assignment or definition."""
+    """A word mentions a generator with no operator assignment or definition."""
+
+
+class InexactEntry(TbhError):
+    """An operator handed to the word evaluator has an entry that is not int or Fraction."""
+
+
+class EntryPole(TbhError):
+    """A seminormal entry formula was evaluated at one of its poles.
+
+    Consecutive shifted contents never coincide, and a zero first content
+    occurs only when B = 0; hitting either pole is an upstream bug.
+    """
 
 
 class CriterionFailure(TbhError):

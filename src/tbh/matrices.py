@@ -1,11 +1,14 @@
-"""Dense square matrices over exact rationals or tolerance-compared floats.
+"""Dense square matrices, and the column-sparse operators words act through.
 
-Basis sizes stay in the low hundreds at desk scale, so a plain
-tuple-of-tuples representation with generic arithmetic is all we need.
-A matrix is *exact* when every entry is an int or Fraction; products and
-sums of exact matrices stay exact, and equality of exact matrices is exact.
-As soon as an Approx (or raw float) entry appears, comparisons switch to
-the shared tolerance.
+``Matrix`` is a plain tuple-of-tuples with generic arithmetic.  A matrix is
+*exact* when every entry is an int or Fraction; products and sums of exact
+matrices stay exact, and equality of exact matrices is exact.  As soon as
+an Approx (or raw float) entry appears, comparisons switch to the shared
+tolerance.
+
+``SparseOperator`` is the representation the word evaluator uses: exact
+entries only, stored column by column, applied to lists of sparse columns
+({row: entry} dicts) without ever forming a product of operators.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InexactEntry
 from .scalars import Approx, approx_eq
 
 
@@ -47,10 +50,6 @@ class Matrix:
     @classmethod
     def identity(cls, n):
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def zero(cls, n):
-        return cls(tuple((0,) * n for _ in range(n)))
 
     @classmethod
     def diagonal(cls, entries):
@@ -109,14 +108,6 @@ class Matrix:
     def max_abs(self):
         return max((abs(float(_as_number(x))) for r in self.rows for x in r), default=0.0)
 
-    def max_deviation(self, other):
-        """Largest entrywise absolute difference, as a float."""
-        self._require_same_dim(other)
-        return max(
-            (abs(float(_as_number(a)) - float(_as_number(b))) for r, s in zip(self.rows, other.rows) for a, b in zip(r, s)),
-            default=0.0,
-        )
-
     def equal(self, other, rel_tol=None):
         """Exact comparison when both operands are exact, tolerance otherwise."""
         self._require_same_dim(other)
@@ -165,6 +156,78 @@ def apply_to_columns(a: Matrix, cols):
         nz = [(i, v) for i, v in enumerate(col) if v != 0]
         out.append([sum(row[i] * v for i, v in nz) for row in a.rows])
     return out
+
+
+class SparseOperator:
+    """A square operator over exact rationals, stored column by column.
+
+    ``cols[j]`` maps row index to the nonzero entry of column j.  Entries
+    must be int or Fraction (integral Fractions are kept as ints); anything
+    else raises InexactEntry, so every comparison downstream is exact.
+    """
+
+    __slots__ = ("cols",)
+
+    def __init__(self, cols):
+        cols = [dict(col) for col in cols]
+        n = len(cols)
+        for col in cols:
+            for i, v in list(col.items()):
+                if not isinstance(v, (int, Fraction)):
+                    raise InexactEntry(f"operator entry {v!r} is not an int or Fraction")
+                if not 0 <= i < n:
+                    raise DimensionMismatch(f"row {i} outside an operator of dim {n}")
+                if not v:
+                    del col[i]
+                elif type(v) is Fraction and v.denominator == 1:
+                    col[i] = v.numerator
+        self.cols = cols
+
+    @classmethod
+    def from_matrix(cls, m: Matrix) -> "SparseOperator":
+        cols = [{} for _ in range(m.dim)]
+        for i, row in enumerate(m.rows):
+            for j, v in enumerate(row):
+                if v:
+                    cols[j][i] = v
+        return cls(cols)
+
+    @property
+    def dim(self):
+        return len(self.cols)
+
+    def apply(self, columns):
+        """Images of sparse columns, with cancelled entries dropped."""
+        ops = self.cols
+        out = []
+        for col in columns:
+            if len(col) == 1:
+                # One nonzero entry: a scaled operator column, nothing cancels.
+                ((j, v),) = col.items()
+                out.append(ops[j] if v == 1 else {i: a * v for i, a in ops[j].items()})
+                continue
+            acc = {}
+            for j, v in col.items():
+                for i, a in ops[j].items():
+                    if i in acc:
+                        acc[i] += a * v
+                    else:
+                        acc[i] = a * v
+            out.append({i: x for i, x in acc.items() if x})
+        return out
+
+
+def as_operator(value) -> SparseOperator:
+    """A SparseOperator as is; a Matrix or a list of column dicts converted."""
+    if isinstance(value, SparseOperator):
+        return value
+    if isinstance(value, Matrix):
+        return SparseOperator.from_matrix(value)
+    return SparseOperator(value)
+
+
+def identity_columns(n):
+    return [{j: 1} for j in range(n)]
 
 
 def charpoly2(m: Matrix):

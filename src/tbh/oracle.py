@@ -33,7 +33,7 @@ from .errors import (
     RelationFailure,
     SpectrumMismatch,
 )
-from .matrices import Matrix, apply_to_columns, rank_exact
+from .matrices import Matrix, SparseOperator, apply_to_columns, rank_exact
 from .params import HeckeParams
 from .partitions import as_partition, enum_Pk, shifted_content, tableaux_to, weyl_dim
 
@@ -428,6 +428,9 @@ class TensorOracle:
         self._mod_m = realize_module((params.a,) * params.p, n)
         self._mod_n = realize_module((params.b,) * params.q, n)
         self.inclusion = self._build_inclusion()
+        self.inclusion_columns = [
+            {i: v for i, v in enumerate(col) if v} for col in self.inclusion
+        ]
 
     # -- operators ---------------------------------------------------------
 
@@ -520,34 +523,10 @@ class TensorOracle:
     # -- word evaluation on the inclusion -----------------------------------
 
     def evaluate_on_inclusion(self, word, assignment, defs=None):
-        """Apply a formal word to the inclusion columns, right to left."""
-        dim = self.carrier.dim
-        cache = {}
-
-        def resolve(g):
-            if g in cache:
-                return cache[g]
-            if g in assignment:
-                val = assignment[g]
-            elif defs and g in defs:
-                val = algebra.evaluate_word(defs[g], assignment, defs, dim)
-            else:
-                raise algebra.UnassignedGenerator(f"no assignment for {g}")
-            cache[g] = val
-            return val
-
-        total = [[0] * dim for _ in self.inclusion]
-        for coeff, factors in word:
-            coeff = _intify(coeff)
-            cols = [list(c) for c in self.inclusion]
-            for g in reversed(factors):
-                cols = apply_to_columns(resolve(g), cols)
-            for acc, col in zip(total, cols):
-                for r in range(dim):
-                    v = col[r]
-                    if v:
-                        acc[r] = acc[r] + coeff * v
-        return total
+        """Apply a formal word to the sparse inclusion columns, right to left."""
+        return algebra.evaluate_word(
+            word, assignment, defs, self.inclusion_columns, self.carrier.dim
+        )
 
     # -- suites --------------------------------------------------------------
 
@@ -556,12 +535,12 @@ class TensorOracle:
         params = self.params
         if catalog is None:
             catalog = algebra.relations_short(params)
-        assignment = self.phi_images()
+        ops = {g: SparseOperator.from_matrix(m) for g, m in self.phi_images().items()}
         defs = algebra.definitions(params)
         results = []
         for rel in catalog:
-            lhs = self.evaluate_on_inclusion(rel.lhs, assignment, defs)
-            rhs = self.evaluate_on_inclusion(rel.rhs, assignment, defs)
+            lhs = self.evaluate_on_inclusion(rel.lhs, ops, defs)
+            rhs = self.evaluate_on_inclusion(rel.rhs, ops, defs)
             passed = lhs == rhs
             results.append(
                 algebra.RelationResult(rel.name, rel.family, passed, 0.0 if passed else 1.0, True)

@@ -5,19 +5,27 @@ T from some member of P up to lambda.  The commutative generators w_i act
 diagonally by shifted contents; t_{s_i} is supported on {T, s_i T} and x_1
 on {T, s_0 T}, with
 
-    [t_i]_{T,T}   = 1 / (c_T(i+1) - c_T(i)),
+    [t_i]_{T,T}   = d_T = 1 / (c_T(i+1) - c_T(i)),
     [x_1]_{T,T}   = ((a-p) c + c^2 + K) / (2c),   c = c_T(1),
     K = ((a+p+b+q)/2) ((a+p-b-q)/2),
 
 and squared off-diagonal products
 
-    [t_i]_{T,S}[t_i]_{S,T}   = 1 - [t_i]_{T,T}^2,
+    [t_i]_{T,S}[t_i]_{S,T}   = 1 - d_T^2,
     [x_1]_{T,S}[x_1]_{S,T}   = -(1/(2c)^2) (c^2 - A^2)(c^2 - B^2),
 
-where A = (a+p+b+q)/2 and B = (a+p-b-q)/2.  The built matrices use the
-positive-root gauge: both off-diagonal entries are the same nonnegative
-square root.  Everything rational is kept exact; only the square roots
-are floats.
+where A = (a+p+b+q)/2 and B = (a+p-b-q)/2.  The relations are checked on
+column-sparse operators in a rational gauge (after Young's seminormal
+form):
+
+    [t_i]_{T,s_i T} = 1 + d_T,
+    [x_1]_{T,s_0 T} = (A - c)(c - B) / (2c).
+
+Since d_{s_i T} = -d_T and c_{s_0 T}(1) = -c_T(1), each pair of entries
+multiplies to the squared product above, so everything is exact.  The
+positive-root gauge (both off-diagonals the same nonnegative square root)
+is conjugate to it by a diagonal matrix and survives only in the float
+matrices of ``module_to_json``.
 """
 
 from __future__ import annotations
@@ -30,10 +38,11 @@ from .errors import (
     ConnectivityFailure,
     CriterionFailure,
     DistinctnessFailure,
+    EntryPole,
     NotInPk,
     RelationFailure,
 )
-from .matrices import Matrix, matrix_to_json
+from .matrices import Matrix, SparseOperator, matrix_to_json
 from .params import HeckeParams
 from .partitions import (
     Tableau,
@@ -61,7 +70,7 @@ def _constants(params):
 def diag_t_entry(c_i: Fraction, c_next: Fraction) -> Fraction:
     gap = c_next - c_i
     if gap == 0:
-        raise AssertionError("consecutive shifted contents can never coincide")
+        raise EntryPole("consecutive shifted contents can never coincide")
     return Fraction(1) / gap
 
 
@@ -73,21 +82,33 @@ def diag_x_entry(c: Fraction, params: HeckeParams) -> Fraction:
     a, p = params.a, params.p
     _, B, K = _constants(params)
     if c == 0:
-        # Only reachable when B = 0, where the 1/(2c) pole cancels:
-        # ((a-p)c + c^2)/(2c) = ((a-p) + c)/2.
+        # Only reachable when B = 0, and then c = 0 is the critical content
+        # B itself: with p > q the first box sits at (q+1, a+1), extending
+        # (a^p) to the right, so x_1 acts by a.  The formula's limit
+        # ((a-p) + c)/2 is not that value, because K = AB = 0 cancels the
+        # critical factor against the pole.
         if B != 0:
-            raise AssertionError("zero shifted content with nonzero B")
-        return Fraction(a - p, 2)
+            raise EntryPole("zero shifted content with nonzero B")
+        return Fraction(a)
     return ((a - p) * c + c * c + K) / (2 * c)
 
 
 def offdiag_x_sq(c: Fraction, params: HeckeParams) -> Fraction:
     A, B, _ = _constants(params)
     if c == 0:
+        # Critical (c = B = 0, see diag_x_entry): no s_0 neighbor.
         if B != 0:
-            raise AssertionError("zero shifted content with nonzero B")
-        return A * A / 4
+            raise EntryPole("zero shifted content with nonzero B")
+        return Fraction(0)
     return -(c * c - A * A) * (c * c - B * B) / (4 * c * c)
+
+
+def offdiag_x_entry(c: Fraction, params: HeckeParams) -> Fraction:
+    """Rational-gauge entry [x_1]_{T, s_0 T} at c = c_T(1)."""
+    A, B, _ = _constants(params)
+    if c == 0:
+        raise EntryPole("zero shifted content is critical: no s_0 neighbor")
+    return (A - c) * (c - B) / (2 * c)
 
 
 @dataclass(frozen=True)
@@ -184,6 +205,7 @@ class SeminormalModule:
         return _homogeneous(rows, mixed)
 
     def matrices(self):
+        """Dense positive-root matrices, for ``module_to_json`` only."""
         out = {(algebra.W, i): self.w_matrix(i) for i in range(self.k + 1)}
         if self.k >= 1:
             out[(algebra.X, 1)] = self.x_matrix()
@@ -191,10 +213,39 @@ class SeminormalModule:
             out[(algebra.T, i)] = self.t_matrix(i)
         return out
 
-    def y1_matrix(self) -> Matrix:
-        """y_1 = z_1 - x_1 = w_1 - x_1 + shift."""
-        shift = self.params.shift
-        return self.w_matrix(1) - self.x_matrix() + Matrix.identity(self.dim) * shift
+    def operators(self):
+        """Column-sparse generators in the exact rational gauge.
+
+        Column S holds the diagonal entry at row S and, when the neighbor
+        T = s S exists, the off-diagonal [g]_{T,S} at row T.
+        """
+        table = self.table
+        contents = table.contents
+        neighbor = table.neighbor_s
+        n = self.dim
+        out = {
+            (algebra.W, i): SparseOperator([{s: contents[s][i]} for s in range(n)])
+            for i in range(self.k + 1)
+        }
+        if self.k >= 1:
+            cols = []
+            for s in range(n):
+                col = {s: table.diag_x[s]}
+                t = neighbor[s][0]
+                if t is not None:
+                    col[t] = offdiag_x_entry(contents[t][1], self.params)
+                cols.append(col)
+            out[(algebra.X, 1)] = SparseOperator(cols)
+        for i in range(1, self.k):
+            cols = []
+            for s in range(n):
+                col = {s: table.diag_t[(s, i)]}
+                t = neighbor[s][i]
+                if t is not None:
+                    col[t] = 1 + table.diag_t[(t, i)]
+                cols.append(col)
+            out[(algebra.T, i)] = SparseOperator(cols)
+        return out
 
 
 def _homogeneous(rows, has_roots):
@@ -204,9 +255,7 @@ def _homogeneous(rows, has_roots):
     return Matrix(rows)
 
 
-def build_module(lam, params: HeckeParams, k: int, backend: str = "approx_sqrt") -> SeminormalModule:
-    if backend != "approx_sqrt":
-        raise ValueError(f"unknown backend {backend!r}")
+def build_module(lam, params: HeckeParams, k: int) -> SeminormalModule:
     lam = as_partition(lam)
     if sum(lam) != params.weight + k:
         raise NotInPk(f"{lam} has the wrong number of boxes for k={k}")
@@ -248,9 +297,10 @@ def check_criteria(lam, params: HeckeParams, k: int) -> CriteriaReport:
 
     Items 1, 2, 4, 5 are rational identities checked exactly.  Items 3
     and 6 mix square roots, so they are checked exactly after squaring
-    both sides (legitimate: in the positive-root gauge every off-diagonal
-    factor is a nonnegative real, and squared equality of nonnegative
-    reals is equality), and then numerically on float entries.
+    both sides.  That is the whole check: in the positive-root gauge every
+    off-diagonal factor is a nonnegative real, so each chain product is
+    the nonnegative square root of its squared chain, and equal squared
+    chains give equal chains.
     """
     table = entry_table(lam, params, k)
     counts = {str(i): 0 for i in range(1, 7)}
@@ -316,7 +366,7 @@ def check_criteria(lam, params: HeckeParams, k: int) -> CriteriaReport:
             if cc != 0:
                 want = -((cc + A) * (cc - B) * (cc - A) * (cc + B)) / (4 * cc * cc)
             else:
-                want = A * A / 4
+                want = Fraction(0)  # c = B = 0 is critical
             if s0 is not None:
                 if table.offdiag_x_sq[ti] != want:
                     raise CriterionFailure(5, f"x radicand at {table.basis[ti]}")
@@ -350,56 +400,20 @@ def check_criteria(lam, params: HeckeParams, k: int) -> CriteriaReport:
                 raise CriterionFailure(6, f"x braid at basis {ti}")
             counts["6"] += 1
 
-    _check_criteria_numeric(table, params, k)
     return CriteriaReport(table.lam, k, counts)
 
 
-def _check_criteria_numeric(table, params, k, tol=1e-9):
-    """Float re-check of the mixed criteria (3) and (6) on actual entries."""
-
-    def off_t(ti, i):
-        si = table.neighbor_s[ti][i]
-        return 0.0 if si is None else sqrt_checked(table.offdiag_t_sq[(ti, i)]).value
-
-    def off_x(ti):
-        s0 = table.neighbor_s[ti][0]
-        return 0.0 if s0 is None else sqrt_checked(table.offdiag_x_sq[ti]).value
-
-    def chain(ti, moves):
-        acc = 1.0
-        cur = ti
-        for mv in moves:
-            acc *= off_x(cur) if mv == 0 else off_t(cur, mv)
-            nxt = table.neighbor_s[cur][mv]
-            if nxt is None:
-                return 0.0
-            cur = nxt
-        return acc
-
-    for ti in range(len(table.basis)):
-        for i in range(1, k - 1):
-            if abs(chain(ti, (i, i + 1, i)) - chain(ti, (i + 1, i, i + 1))) > tol:
-                raise CriterionFailure(6, f"numeric t braid at {ti}")
-        if k >= 2:
-            if abs(chain(ti, (1, 0, 1, 0)) - chain(ti, (0, 1, 0, 1))) > tol:
-                raise CriterionFailure(6, f"numeric x braid at {ti}")
-            for i in range(2, k):
-                if abs(chain(ti, (0, i)) - chain(ti, (i, 0))) > tol:
-                    raise CriterionFailure(3, f"numeric t/x commutation at {ti}")
-
-
 # ---------------------------------------------------------------------------
-# full relation suite on the built matrices
+# full relation suite on the rational operators
 
 
-def check_full_relations(module: SeminormalModule, rel_tol=1e-9, catalog=None):
-    """Every relation of the compact catalog on the built matrices."""
+def check_full_relations(module: SeminormalModule, catalog=None):
+    """Every relation of the compact catalog, exactly, on the rational operators."""
     params = module.params.with_k(module.k)
     if catalog is None:
         catalog = algebra.relations_short(params)
-    assignment = module.matrices()
     results = algebra.check_relations(
-        catalog, assignment, algebra.definitions(params), rel_tol, dim=module.dim
+        catalog, module.operators(), algebra.definitions(params), dim=module.dim
     )
     bad = [r for r in results if not r.passed]
     if bad:
@@ -450,7 +464,7 @@ def row_word(t: Tableau, params: HeckeParams):
                 cur = nxt
                 break
         else:
-            raise AssertionError("fillings differ but no differing box found")
+            raise ConnectivityFailure("fillings agree but the tableaux differ")
     return tuple(moves), cur
 
 
@@ -598,13 +612,22 @@ def check_simplicity(module: SeminormalModule) -> SimplicityCertificate:
 
 
 def quadratic_deviation(module: SeminormalModule):
-    """Max deviations of (x1-a)(x1+p) and (y1-b)(y1+q) from zero."""
-    a, b, p, q = module.params.a, module.params.b, module.params.p, module.params.q
-    n = module.dim
-    ident = Matrix.identity(n)
-    zero = Matrix.zero(n)
-    x1 = module.x_matrix()
-    y1 = module.y1_matrix()
-    dev_x = ((x1 - ident * a) * (x1 + ident * p)).max_deviation(zero)
-    dev_y = ((y1 - ident * b) * (y1 + ident * q)).max_deviation(zero)
-    return dev_x, dev_y
+    """Largest entries of (x1-a)(x1+p) and (y1-b)(y1+q), exact; 0 on a module.
+
+    y_1 = z_1 - x_1 = w_1 - x_1 + shift.
+    """
+    params = module.params
+    a, b, p, q = params.a, params.b, params.p, params.q
+    x1 = algebra.word((algebra.X, 1))
+    w1 = algebra.word((algebra.W, 1))
+    y1 = algebra.wadd(w1, algebra.wneg(x1), algebra.wconst(params.shift))
+    ops = module.operators()
+
+    def deviation(gen, lo, hi):
+        word = algebra.wmul(
+            algebra.wadd(gen, algebra.wconst(-lo)), algebra.wadd(gen, algebra.wconst(hi))
+        )
+        image = algebra.evaluate_word(word, ops)
+        return max((abs(v) for col in image for v in col.values()), default=0)
+
+    return deviation(x1, a, p), deviation(y1, b, q)

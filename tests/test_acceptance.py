@@ -1,7 +1,7 @@
 """Acceptance suite: one criterion per test, one printed line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
-pass.  Exact checks are exact; float checks use relative tolerance 1e-9.
+pass.  Every check is exact.
 """
 
 import time
@@ -13,7 +13,7 @@ import pytest
 from tbh import algebra as al
 from tbh import seminormal as sn
 from tbh.bratteli import build_diagram
-from tbh.matrices import Matrix
+from tbh.matrices import SparseOperator
 from tbh.oracle import Carrier, TensorOracle, casimir_constant_gl, kappa_operator, realize_module
 from tbh.params import HeckeParams
 from tbh.partitions import (
@@ -29,8 +29,6 @@ from tbh.partitions import (
     tableaux_to,
     weyl_dim,
 )
-
-TOL = 1e-9
 
 PARAM_GRID = [
     HeckeParams(a, b, p, q)
@@ -124,8 +122,8 @@ def test_criterion_04_seminormal_relation_suite():
         sn.check_criteria(lam, params, k)  # items (1)-(6), exact squared form
         if k >= 1:
             module = sn.build_module(lam, params, k)
-            results = sn.check_full_relations(module, rel_tol=TOL)
-            assert all(r.passed for r in results)
+            results = sn.check_full_relations(module)
+            assert all(r.passed and r.exact for r in results)
         modules += 1
     elapsed = time.time() - start
     assert elapsed < 60.0
@@ -138,13 +136,7 @@ def test_criterion_05_spectral_quadratics():
         if k == 0:
             continue
         module = sn.build_module(lam, params, k)
-        dev_x, dev_y = sn.quadratic_deviation(module)
-        scale = max(
-            1.0,
-            float(params.a * params.p),
-            float(params.b * params.q),
-        )
-        assert dev_x <= TOL * scale and dev_y <= TOL * scale
+        assert sn.quadratic_deviation(module) == (0, 0)
         checked += 1
     report(5, f"(x1-a)(x1+p) = 0 and (y1-b)(y1+q) = 0 on {checked} modules")
 
@@ -232,10 +224,10 @@ def test_criterion_10_negative_controls():
     # (a) corrupted t diagonal: the braid family must fail
     params = HeckeParams(1, 1, 1, 1, 3)
     module = sn.build_module((3, 2), params, 3)
-    assignment = module.matrices()
-    rows = [list(r) for r in assignment[(al.T, 1)].rows]
-    rows[0][0] += Fraction(1, 7)
-    assignment[(al.T, 1)] = Matrix(rows)
+    assignment = module.operators()
+    cols = assignment[(al.T, 1)].cols
+    cols[0] = {**cols[0], 0: cols[0].get(0, 0) + Fraction(1, 7)}
+    assignment[(al.T, 1)] = SparseOperator(cols)
     results = al.check_relations(
         al.relations_short(params), assignment, al.definitions(params)
     )

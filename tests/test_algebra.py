@@ -4,18 +4,22 @@ import pytest
 
 from tbh import algebra as al
 from tbh import seminormal as sn
-from tbh.errors import UnassignedGenerator
-from tbh.matrices import Matrix
+from tbh.errors import DimensionMismatch, InexactEntry, UnassignedGenerator
+from tbh.matrices import Matrix, SparseOperator, identity_columns
 from tbh.params import HeckeParams
 from tbh.partitions import enum_Pk
 
 
 def perm_matrix(images, n):
-    """Permutation matrix sending basis e_j to e_{images[j]}."""
-    rows = [[0] * n for _ in range(n)]
-    for j, i in enumerate(images):
-        rows[i][j] = 1
-    return Matrix(rows)
+    """Permutation operator sending basis e_j to e_{images[j]}."""
+    return SparseOperator([{images[j]: 1} for j in range(n)])
+
+
+def corrupted(op, row, col, delta):
+    """Copy of a sparse operator with delta added to one entry."""
+    cols = [dict(c) for c in op.cols]
+    cols[col][row] = cols[col].get(row, 0) + delta
+    return SparseOperator(cols)
 
 
 # --- catalog structure --------------------------------------------------------
@@ -105,27 +109,44 @@ def test_braid_catalog_k2_contains_xy_match():
 
 
 def test_empty_word_is_identity():
-    assert al.evaluate_word(al.wconst(1), {}, dim=3) == Matrix.identity(3)
-    assert al.evaluate_word((), {}, dim=2) == Matrix.zero(2)
+    assert al.evaluate_word(al.wconst(1), {}, dim=3) == identity_columns(3)
+    assert al.evaluate_word((), {}, dim=2) == [{}, {}]
 
 
 def test_involution_word():
     t = perm_matrix([1, 0, 2], 3)
     w = al.word((al.T, 1), (al.T, 1))
-    assert al.evaluate_word(w, {(al.T, 1): t}) == Matrix.identity(3)
+    assert al.evaluate_word(w, {(al.T, 1): t}) == identity_columns(3)
 
 
 def test_unassigned_generator():
     with pytest.raises(UnassignedGenerator):
-        al.evaluate_word(al.word((al.X, 1)), {(al.T, 1): Matrix.identity(2)})
+        al.evaluate_word(al.word((al.X, 1)), {(al.T, 1): perm_matrix([0, 1], 2)})
 
 
 def test_mismatched_assignment_dimensions():
-    from tbh.errors import DimensionMismatch
-
-    assignment = {(al.T, 1): Matrix.identity(2), (al.X, 1): Matrix.identity(3)}
+    assignment = {(al.T, 1): perm_matrix([0, 1], 2), (al.X, 1): perm_matrix([0, 1, 2], 3)}
     with pytest.raises(DimensionMismatch):
         al.evaluate_word(al.word((al.T, 1), (al.X, 1)), assignment)
+
+
+def test_evaluator_rejects_inexact_entries():
+    # Floats would make the comparison tolerance-dependent: the evaluator
+    # refuses them with a package error, whatever container they come in.
+    word = al.word((al.T, 1))
+    with pytest.raises(InexactEntry):
+        al.evaluate_word(word, {(al.T, 1): [{0: 0.5}]})
+    with pytest.raises(InexactEntry):
+        al.evaluate_word(word, {(al.T, 1): Matrix([[0.5, 0], [0, 1]])})
+
+
+def test_evaluator_dense_matrix_agrees_with_sparse():
+    dense = Matrix([[1, Fraction(1, 2)], [0, 3]])
+    sparse = SparseOperator([{0: 1}, {0: Fraction(1, 2), 1: 3}])
+    w = al.word((al.T, 1), (al.T, 1))
+    image = al.evaluate_word(w, {(al.T, 1): sparse})
+    assert al.evaluate_word(w, {(al.T, 1): dense}) == image
+    assert image == [{0: 1}, {0: 2, 1: 9}]  # columns of the square
 
 
 def test_m3_expands_to_transposition_words():
@@ -158,7 +179,7 @@ def test_identity_assignment_satisfies_symmetric_group_family():
         for r in al.relations_short(params)
         if r.family in ("t.involution", "t.braid", "t.commute")
     ]
-    ident = Matrix.identity(1)
+    ident = perm_matrix([0], 1)
     assignment = {(al.T, i): ident for i in range(1, 4)}
     results = al.check_relations(catalog, assignment, dim=1)
     assert results and all(r.passed for r in results)
@@ -168,10 +189,8 @@ def test_check_relations_negative_control():
     # Corrupting a diagonal t entry must break the braid family.
     params = HeckeParams(1, 1, 1, 1, 3)
     module = sn.build_module((3, 2), params, 3)
-    assignment = module.matrices()
-    rows = [list(r) for r in assignment[(al.T, 1)].rows]
-    rows[0][0] += Fraction(1, 7)
-    assignment[(al.T, 1)] = Matrix(rows)
+    assignment = module.operators()
+    assignment[(al.T, 1)] = corrupted(assignment[(al.T, 1)], 0, 0, Fraction(1, 7))
     results = al.check_relations(
         al.relations_short(params), assignment, al.definitions(params)
     )
@@ -184,7 +203,7 @@ def test_check_relations_negative_control():
 
 def module_assignment(module):
     params = module.params.with_k(module.k)
-    return module.matrices(), al.definitions(params)
+    return module.operators(), al.definitions(params)
 
 
 def test_short_and_consolidated_suites_agree():
@@ -196,8 +215,8 @@ def test_short_and_consolidated_suites_agree():
         consolidated = al.check_relations(
             al.relations_consolidated(params), assignment, defs
         )
-        assert all(r.passed for r in short)
-        assert all(r.passed for r in consolidated)
+        assert all(r.passed and r.exact for r in short)
+        assert all(r.passed and r.exact for r in consolidated)
 
 
 def test_suites_reject_identically():
@@ -205,9 +224,7 @@ def test_suites_reject_identically():
     params = HeckeParams(1, 1, 1, 1, 2)
     module = sn.build_module((2, 2), params, 2)
     assignment, defs = module_assignment(module)
-    rows = [list(r) for r in assignment[(al.W, 1)].rows]
-    rows[0][0] += 1
-    assignment[(al.W, 1)] = Matrix(rows)
+    assignment[(al.W, 1)] = corrupted(assignment[(al.W, 1)], 0, 0, 1)
     short = al.check_relations(al.relations_short(params), assignment, defs)
     consolidated = al.check_relations(
         al.relations_consolidated(params), assignment, defs
@@ -224,7 +241,7 @@ def test_braid_algebra_quotient_property():
         module = sn.build_module(lam, params, k)
         assignment, defs = module_assignment(module)
         results = al.check_relations(al.relations_braid(k), assignment, defs)
-        assert results and all(r.passed for r in results)
+        assert results and all(r.passed and r.exact for r in results)
 
 
 def test_derived_y_definitions_agree():
@@ -244,4 +261,4 @@ def test_derived_y_definitions_agree():
             assignment,
             defs,
         )
-        assert direct.equal(twisted)
+        assert direct == twisted

@@ -5,7 +5,7 @@ import pytest
 
 from tbh import algebra as al
 from tbh.errors import CapExceeded, HeightExceeded, SpectrumMismatch
-from tbh.matrices import Matrix, rank_exact
+from tbh.matrices import Matrix, apply_to_columns, rank_exact
 from tbh.oracle import (
     Carrier,
     TensorOracle,
@@ -134,7 +134,7 @@ def test_bracket_relations_on_carrier():
         for i in range(2)
         for j in range(2)
     }
-    zero = Matrix.zero(carrier.dim)
+    zero = Matrix.identity(carrier.dim) * 0
     for _ in range(8):
         i, j, k, l = (rng.randrange(2) for _ in range(4))
         bracket = ops[(i, j)] * ops[(k, l)] - ops[(k, l)] * ops[(i, j)]
@@ -214,7 +214,7 @@ def test_x1_annihilating_polynomial():
     oracle = TensorOracle(HeckeParams(1, 1, 1, 1, 1), 2)
     x1 = oracle.x_image(1)
     ident = Matrix.identity(oracle.carrier.dim)
-    assert (x1 - ident) * (x1 + ident) == Matrix.zero(oracle.carrier.dim)
+    assert (x1 - ident) * (x1 + ident) == ident * 0
 
 
 def test_z0_spectrum_k0():
@@ -309,3 +309,29 @@ def test_spectra_mismatch_detection():
     bad.predicted_spectra = lambda: skewed
     with pytest.raises(SpectrumMismatch):
         bad.check_spectra()
+
+
+def test_x1_multiplicities_match_seminormal_blocks_b_zero():
+    # (1,2,2,1) has B = 0 and one-parent boxes at shifted content 0; the
+    # carrier fixes their x_1 eigenvalue: a, not the c -> 0 limit (a-p)/2.
+    from tbh import seminormal as sn
+    from tbh.partitions import enum_Pk
+
+    params = HeckeParams(1, 2, 2, 1, 1)
+    n = 3
+    oracle = TensorOracle(params, n)
+    x1 = oracle.x_image(1)
+    predicted = {params.a: 0, -params.p: 0}
+    for lam in enum_Pk(params, 1, max_height=n):
+        table = sn.entry_table(lam, params, 1)
+        for ti in range(len(table.basis)):
+            weight = weyl_dim(lam, n)
+            if table.neighbor_s[ti][0] is None:
+                predicted[table.diag_x[ti]] += weight
+            else:  # a 2x2 block with eigenvalues a and -p, counted from each side
+                predicted[params.a] += Fraction(weight, 2)
+                predicted[-params.p] += Fraction(weight, 2)
+    ident = Matrix.identity(oracle.carrier.dim)
+    for value, mult in predicted.items():
+        image = apply_to_columns(x1 - ident * value, oracle.inclusion)
+        assert oracle.module_dim - rank_exact([list(row) for row in zip(*image)]) == mult

@@ -1,12 +1,22 @@
+import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tbh import algebra as al
 from tbh import seminormal as sn
 from tbh.bratteli import build_diagram, paths_to
-from tbh.errors import NotInPk, RelationFailure
-from tbh.matrices import Matrix, charpoly2
+from tbh.errors import (
+    ConnectivityFailure,
+    CriterionFailure,
+    EntryPole,
+    NotInPk,
+    RelationFailure,
+)
+from tbh.matrices import Matrix, SparseOperator, charpoly2
 from tbh.params import HeckeParams
 from tbh.partitions import (
     Tableau,
@@ -48,6 +58,54 @@ def test_entry_table_critical_content_gives_a():
 def test_entry_table_gap_two():
     assert sn.diag_t_entry(Fraction(0), Fraction(2)) == Fraction(1, 2)
     assert sn.offdiag_t_sq(Fraction(0), Fraction(2)) == Fraction(3, 4)
+
+
+def test_entry_poles_raise_package_errors():
+    # B = (a+p-b-q)/2 = 1/2 here, so a zero first content is a pole.
+    params = HeckeParams(2, 1, 1, 1)
+    c = Fraction(3, 2)
+    with pytest.raises(EntryPole):
+        sn.diag_t_entry(c, c)
+    with pytest.raises(EntryPole):
+        sn.diag_x_entry(Fraction(0), params)
+    with pytest.raises(EntryPole):
+        sn.offdiag_x_sq(Fraction(0), params)
+    with pytest.raises(EntryPole):
+        sn.offdiag_x_entry(Fraction(0), params)
+    # c = 0 is critical even when B = 0: there is never an s_0 partner
+    with pytest.raises(EntryPole):
+        sn.offdiag_x_entry(Fraction(0), P1111)
+
+
+def test_zero_content_with_b_zero_is_critical_with_eigenvalue_a():
+    # a + p = b + q with p > q puts the first box at (q+1, a+1) whenever
+    # c_T(1) = 0: a one-parent box extending (a^p) to the right.
+    params = HeckeParams(1, 2, 2, 1)
+    assert sn.diag_x_entry(Fraction(0), params) == params.a
+    assert sn.offdiag_x_sq(Fraction(0), params) == 0
+    zeros = 0
+    for k in range(1, 4):
+        for lam in sorted(enum_Pk(params, k), reverse=True):
+            sn.check_criteria(lam, params, k)
+            module = sn.build_module(lam, params, k)
+            for ti, c in enumerate(module.table.contents):
+                if c[1] == 0:
+                    assert module.basis[ti].box(1) == (params.q + 1, params.a + 1)
+                    assert module.table.neighbor_s[ti][0] is None
+                    zeros += 1
+            assert all(r.exact and r.passed for r in sn.check_full_relations(module))
+            assert sn.quadratic_deviation(module) == (0, 0)
+    assert zeros > 0
+
+
+def test_rational_gauge_entries_multiply_to_radicands():
+    params = HeckeParams(2, 1, 2, 1)
+    for c in (Fraction(1, 2), Fraction(-5, 2), Fraction(7, 2)):
+        pair = sn.offdiag_x_entry(c, params) * sn.offdiag_x_entry(-c, params)
+        assert pair == sn.offdiag_x_sq(c, params)
+    c_i, c_next = Fraction(-1), Fraction(2)
+    d = sn.diag_t_entry(c_i, c_next)
+    assert (1 + d) * (1 + sn.diag_t_entry(c_next, c_i)) == sn.offdiag_t_sq(c_i, c_next)
 
 
 def test_entry_table_rejects_wrong_weight():
@@ -185,6 +243,25 @@ def test_criteria_and_relations_pass(abpq, kmax):
                 assert all(r.passed for r in results)
 
 
+def test_criteria_corrupted_radicand_fails_exactly(monkeypatch):
+    # The exact squared checks alone must catch a wrong radicand.
+    params = HeckeParams(2, 2, 2, 2)
+    lam = (5, 3, 2, 1)
+    real = sn.entry_table
+
+    def corrupted_table(*args):
+        table = real(*args)
+        key = next(key for key, sq in table.offdiag_t_sq.items() if sq)
+        bad = dict(table.offdiag_t_sq)
+        bad[key] += Fraction(1, 5)
+        return dataclasses.replace(table, offdiag_t_sq=bad)
+
+    sn.check_criteria(lam, params, 3)
+    monkeypatch.setattr(sn, "entry_table", corrupted_table)
+    with pytest.raises(CriterionFailure):
+        sn.check_criteria(lam, params, 3)
+
+
 def test_criteria_example_2_2():
     report = sn.check_criteria((2, 2), P1111, 2)
     assert report.items["2"] == 2  # two basis tableaux
@@ -209,6 +286,28 @@ def test_relation_negative_control_dropped_twist_constant():
         sn.check_full_relations(module, catalog=corrupted)
 
 
+def _module_with_both_offdiagonals(params, k):
+    for lam in sorted(enum_Pk(params, k), reverse=True):
+        module = sn.build_module(lam, params, k)
+        if all(any(row[mv] is not None for row in module.table.neighbor_s) for mv in (0, 1)):
+            return module
+    raise AssertionError("no module with both t_1 and x_1 off-diagonals")
+
+
+@pytest.mark.parametrize("gen", [(al.T, 1), (al.X, 1)])
+def test_corrupted_rational_offdiagonal_fails_relations(monkeypatch, gen):
+    module = _module_with_both_offdiagonals(HeckeParams(2, 1, 1, 1), 2)
+    ops = module.operators()
+    cols = [dict(c) for c in ops[gen].cols]
+    s = next(s for s, col in enumerate(cols) if len(col) == 2)
+    t = next(r for r in cols[s] if r != s)
+    cols[s][t] += Fraction(1, 3)
+    bad = {**ops, gen: SparseOperator(cols)}
+    monkeypatch.setattr(sn.SeminormalModule, "operators", lambda self: dict(bad))
+    with pytest.raises(RelationFailure):
+        sn.check_full_relations(module)
+
+
 def test_quadratic_spectra():
     # (x1 - a)(x1 + p) = 0 and (y1 - b)(y1 + q) = 0 on every built module.
     for abpq, kmax in GRID:
@@ -216,8 +315,7 @@ def test_quadratic_spectra():
         for k in range(1, kmax + 1):
             for lam in sorted(enum_Pk(params, k), reverse=True):
                 module = sn.build_module(lam, params, k)
-                dev_x, dev_y = sn.quadratic_deviation(module)
-                assert dev_x <= 1e-9 and dev_y <= 1e-9
+                assert sn.quadratic_deviation(module) == (0, 0)
 
 
 def test_t_matrices_are_involutions():
@@ -337,11 +435,6 @@ def test_module_json_dump():
     assert w["rows"][0] == ["-1/1", "0/1"]  # exact diagonals stay rational
 
 
-def test_build_module_rejects_unknown_backend():
-    with pytest.raises(ValueError):
-        sn.build_module((2, 1), P1111, 1, backend="symbolic")
-
-
 def test_greedy_walk_stall_is_covered():
     # The literal row-then-move walk stalls here (the mirror slot holds
     # label 2); the witness must still exist and check out.
@@ -353,3 +446,75 @@ def test_greedy_walk_stall_is_covered():
         cur = apply_move(cur, mv, params)
         assert cur is not None
     assert cur == target
+
+
+# --- the rational gauge -------------------------------------------------------------
+
+
+SWEEP_K3 = [(1, 1, 1, 1), (2, 1, 1, 1), (2, 2, 2, 1), (2, 2, 2, 2)]
+
+
+def _dumped(doc, gen):
+    kind, idx = gen
+    rows = doc["matrices"][f"{kind}{idx}"]["rows"]
+    return [[x if isinstance(x, float) else float(Fraction(x)) for x in row] for row in rows]
+
+
+def test_dumped_matrices_are_diagonal_conjugates_of_rational_operators():
+    # M = D^-1 R D, with D built along the connectivity witnesses: M_{T,S} =
+    # R_{T,S} D_S / D_T fixes D_T from D_S on every witness step, with
+    # D = 1 at the distinguished tableau.  Every entry of every dumped
+    # matrix, on and off the witness paths, must then match.
+    checked = 0
+    for abpq in SWEEP_K3:
+        params = HeckeParams(*abpq)
+        for k in range(4):
+            for lam in sorted(enum_Pk(params, k), reverse=True):
+                module = sn.build_module(lam, params, k)
+                doc = sn.module_to_json(module)
+                ops = module.operators()
+                dense = {gen: _dumped(doc, gen) for gen in ops}
+                neighbor = module.table.neighbor_s
+                scale = {}
+                for ti, moves in sn.check_simplicity(module).witnesses.items():
+                    d, cur = 1.0, ti
+                    for mv in moves:
+                        gen = (al.X, 1) if mv == 0 else (al.T, mv)
+                        nxt = neighbor[cur][mv]
+                        d *= ops[gen].cols[nxt][cur] / dense[gen][cur][nxt]
+                        cur = nxt
+                    scale[ti] = d
+                for gen, op in ops.items():
+                    for r in range(module.dim):
+                        for c in range(module.dim):
+                            want = op.cols[c].get(r, 0) * scale[c] / scale[r]
+                            assert math.isclose(dense[gen][r][c], want, rel_tol=1e-12, abs_tol=1e-12)
+                checked += 1
+    assert checked == 158
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(1, 2),
+    st.integers(1, 2),
+    st.integers(1, 3),
+    st.data(),
+)
+def test_rational_gauge_relations_are_exact(a, b, p, q, k, data):
+    params = HeckeParams(a, b, p, q)
+    lam = data.draw(st.sampled_from(sorted(enum_Pk(params, k), reverse=True)))
+    module = sn.build_module(lam, params, k)
+    for catalog in (None, al.relations_consolidated(params.with_k(k))):
+        results = sn.check_full_relations(module, catalog=catalog)
+        assert results and all(r.passed and r.exact for r in results)
+    assert sn.quadratic_deviation(module) == (0, 0)
+
+
+def test_row_word_rejects_target_with_equal_fillings(monkeypatch):
+    # Same added box and label, different start: the walk has no box to fix.
+    t = Tableau(((1,), (1, 1)))
+    monkeypatch.setattr(sn, "row_tableau", lambda _: Tableau(((2,), (2, 1))))
+    with pytest.raises(ConnectivityFailure):
+        sn.row_word(t, P1111)
