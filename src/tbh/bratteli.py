@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import VertexNotFound
+from .errors import InvariantViolation, VertexNotFound
 from .params import HeckeParams
 from .partitions import (
     Partition,
@@ -101,14 +101,10 @@ def build_diagram(params: HeckeParams, max_height=None) -> BratteliDiagram:
         src_level, dst_level = levels[rank], levels[rank + 1]
         dst_index = {lam: i for i, lam in enumerate(dst_level)}
         rank_edges = []
-        seen = set()
         for si, lam in enumerate(src_level):
             for mu in sorted(add_box_set(lam, max_height), reverse=True):
-                di = dst_index[mu]
-                assert (si, di) not in seen, "duplicate edge: diagram not multiplicity free"
-                seen.add((si, di))
                 label = Fraction(_added_content(lam, mu))
-                rank_edges.append((si, di, label))
+                rank_edges.append((si, dst_index[mu], label))
         edges.append(tuple(rank_edges))
     return BratteliDiagram(params, max_height, levels, tuple(edges))
 
@@ -119,7 +115,7 @@ def _added_content(lam, mu):
         b = lam[r - 1] if r <= len(lam) else 0
         if a != b:
             return content(r, a)
-    raise AssertionError("shapes identical")
+    raise InvariantViolation("shapes identical")
 
 
 @dataclass(frozen=True)

@@ -126,12 +126,12 @@ def cmd_seminormal(args) -> int:
             return EXIT_NOT_IN_PK
         targets = [args.lam]
     if args.dump:
-        import os as _os
-
-        _os.makedirs(args.dump, exist_ok=True)
+        os.makedirs(args.dump, exist_ok=True)
     jobs = [(params, lam, k, args.dump) for lam in targets]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # The pool forks every worker up front; never ask for more than can work.
+    workers = min(args.jobs, len(targets), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_verify_one, jobs))
     else:
         outcomes = [_verify_one(job) for job in jobs]

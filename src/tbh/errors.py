@@ -70,6 +70,14 @@ class RelationFailure(TbhError):
         self.deviation = deviation
 
 
+class InvariantViolation(TbhError):
+    """An internal invariant that the mathematics guarantees did not hold.
+
+    Raised instead of ``assert`` so that it survives ``python -O``; it
+    always indicates an upstream bug rather than bad user input.
+    """
+
+
 class DistinctnessFailure(TbhError):
     """Two basis tableaux share a shifted-content list."""
 

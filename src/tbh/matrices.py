@@ -93,9 +93,6 @@ class Matrix:
         scalar = _normalize_scalar(scalar)
         return Matrix(tuple(tuple(scalar * a for a in r) for r in self.rows))
 
-    def scaled(self, scalar):
-        return self * scalar
-
     def transpose(self):
         return Matrix(tuple(zip(*self.rows)))
 
@@ -127,18 +124,6 @@ class Matrix:
         return self.equal(other)
 
     __hash__ = None
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return a * b
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return a + b
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return a.equal(b)
 
 
 def apply_to_columns(a: Matrix, cols):

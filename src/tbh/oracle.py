@@ -30,6 +30,7 @@ from .errors import (
     CommutantFailure,
     FactorOutOfRange,
     HeightExceeded,
+    InvariantViolation,
     RelationFailure,
     SpectrumMismatch,
 )
@@ -359,7 +360,7 @@ def young_image_columns(lam, n: int):
         if len(basis) == target:
             break
     if len(basis) != target:
-        raise AssertionError(
+        raise InvariantViolation(
             f"symmetrizer image for {lam} has rank {len(basis)}, expected {target}"
         )
     return basis, terms, (decode, encode)
@@ -389,13 +390,13 @@ def realize_module(lam, n: int) -> HighestWeightRealization:
         Fraction(first.get(i, 0), v) for i, v in enumerate(basis[0]) if v
     }
     if len(ratios) != 1:
-        raise AssertionError("symmetrizer is not quasi-idempotent on its image")
+        raise InvariantViolation("symmetrizer is not quasi-idempotent on its image")
     norm = ratios.pop()
     for col in basis:
         image = apply_y(col)
         for i, v in enumerate(col):
             if Fraction(image.get(i, 0)) != norm * v:
-                raise AssertionError("symmetrizer normalization failed")
+                raise InvariantViolation("symmetrizer normalization failed")
     return HighestWeightRealization(lam, n, m, tuple(basis), norm)
 
 

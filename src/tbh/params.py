@@ -55,9 +55,6 @@ class HeckeParams:
     def with_k(self, k: int) -> "HeckeParams":
         return HeckeParams(self.a, self.b, self.p, self.q, k, self.algebra, self.n)
 
-    def with_n(self, n: int) -> "HeckeParams":
-        return HeckeParams(self.a, self.b, self.p, self.q, self.k, self.algebra, n)
-
     def critical_contents(self):
         """Unshifted contents at which an added box has a unique parent."""
         a, b, p, q = self.a, self.b, self.p, self.q

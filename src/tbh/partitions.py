@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .errors import IndexOutOfRange, NotInP, NotInP1, NotInPk
+from .errors import IndexOutOfRange, InvariantViolation, NotInP, NotInP1, NotInPk
 from .params import HeckeParams
 
 Partition = tuple  # weakly decreasing tuple of positive ints
@@ -247,7 +247,7 @@ class Tableau:
             b = prev[r - 1] if r <= len(prev) else 0
             if a != b:
                 return (r, a)
-        raise AssertionError("adjacent shapes identical")
+        raise InvariantViolation("adjacent shapes identical")
 
     def fillings(self):
         """Map (row, col) -> label of the skew filling end/start."""
@@ -278,14 +278,6 @@ def content_key(t: Tableau, params: HeckeParams):
     return tuple(shifted_content(t, i, params) for i in range(1, t.k + 1))
 
 
-def tableau_to_json(t: Tableau, params: HeckeParams):
-    """Shapes as integer arrays plus the derived shifted-content list."""
-    return {
-        "shapes": [list(shape) for shape in t.shapes],
-        "contents": [str(c) for c in shifted_content_list(t, params)],
-    }
-
-
 def apply_si(t: Tableau, i: int, params: HeckeParams):
     """Swap the order of the i-th and (i+1)-th added boxes; None if adjacent.
 
@@ -312,7 +304,7 @@ def apply_s0(t: Tableau, params: HeckeParams):
         return None
     other = [lam for lam in cands if lam != t.shapes[0]]
     if len(other) != 1:
-        raise AssertionError(f"expected exactly one other parent, got {other}")
+        raise InvariantViolation(f"expected exactly one other parent, got {other}")
     return Tableau((other[0],) + t.shapes[1:])
 
 
@@ -378,7 +370,7 @@ def row_tableau(t: Tableau) -> Tableau:
 
 def row_tableau_of(start: Partition, end: Partition) -> Tableau:
     skew = sorted(
-        (box for box in boxes(end) if not _has_box(start, box)),
+        (box for box in boxes(end) if not has_box(start, box)),
         key=lambda rc: (rc[0], rc[1]),
     )
     shapes = [start]
@@ -389,7 +381,8 @@ def row_tableau_of(start: Partition, end: Partition) -> Tableau:
     return Tableau(tuple(shapes))
 
 
-def _has_box(lam, box):
+def has_box(lam, box):
+    """Whether the (row, col) box lies inside the partition."""
     r, c = box
     return r <= len(lam) and c <= lam[r - 1]
 
@@ -410,26 +403,6 @@ def t_lambda(lam: Partition, params: HeckeParams, k: int) -> Tableau:
     return row_tableau_of(lex_max_parent_in(lam, params), lam)
 
 
-def moved_up_start(start: Partition, end: Partition, params: HeckeParams) -> Partition:
-    """Move every below-row-p box of `start` whose mirror slot lies in `end`.
-
-    The result is the starting shape of the distinguished tableau; it is
-    independent of `start` (checked in tests via lex_max_parent_in).
-    """
-    movable = [
-        (r, c)
-        for r, c in boxes(start)
-        if r > params.p and _has_box(end, complementary_position(r, c, params))
-    ]
-    parts = list(start) + [0] * (params.p + params.q - len(start))
-    for r, _ in movable:
-        parts[r - 1] -= 1
-    for r, c in movable:
-        rr, _ = complementary_position(r, c, params)
-        parts[rr - 1] += 1
-    return as_partition(parts)
-
-
 def weyl_dim(lam: Partition, n: int) -> int:
     """Dimension of the irreducible gl_n module indexed by lam.
 
@@ -446,8 +419,10 @@ def weyl_dim(lam: Partition, n: int) -> int:
         for j in range(i + 1, n + 1):
             num *= get(i) - get(j) + j - i
             den *= j - i
-    assert num % den == 0
-    return num // den
+    quotient, remainder = divmod(num, den)
+    if remainder:
+        raise InvariantViolation(f"Weyl dimension of {lam} for gl_{n} is not an integer")
+    return quotient
 
 
 @lru_cache(maxsize=None)

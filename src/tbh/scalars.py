@@ -109,6 +109,3 @@ def rational_from_str(s: str) -> Fraction:
     """Parse "p/q" or a plain integer string."""
     return Fraction(s)
 
-
-def scalar_to_float(x) -> float:
-    return float(x)

@@ -3,7 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from tbh import bratteli
+from tbh import bratteli, cli, partitions
 from tbh.cli import main
 from tbh.params import HeckeParams
 
@@ -190,3 +190,55 @@ def test_jobs_flag(capsys):
     )
     assert code == 0
     assert out.count("simple=pass") == 3
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_jobs_clamped_to_targets_and_cpus(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    argv = [
+        "seminormal",
+        "--a", "1", "--b", "1", "--p", "1", "--q", "1", "--k", "0",
+        "--all-lambda", "--jobs", "100000",
+    ]
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    code, out, _ = run(argv, capsys)
+    assert code == 0 and out.count("simple=pass") == 2
+    assert _RecordingPool.sizes == [2]  # two shapes in P_0
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    code, out, _ = run(argv, capsys)
+    assert code == 0 and out.count("simple=pass") == 2
+    assert _RecordingPool.sizes == [2]  # unknown CPU count means one: no new pool
+
+
+def test_broken_invariant_exits_internal(monkeypatch, capsys):
+    # Doubling the parent list breaks the one-other-parent invariant of s_0.
+    parents = partitions.parents
+    monkeypatch.setattr(partitions, "parents", lambda mu, params: parents(mu, params) * 2)
+    code, _, err = run(
+        [
+            "seminormal",
+            "--a", "1", "--b", "1", "--p", "1", "--q", "1", "--k", "1",
+            "--lambda", "2,1",
+        ],
+        capsys,
+    )
+    assert code == 1
+    assert "other parent" in err

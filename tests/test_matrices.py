@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from tbh.errors import DimensionMismatch
-from tbh.matrices import Matrix, charpoly2, mat_eq, rank_exact
+from tbh.matrices import Matrix, charpoly2, rank_exact
 from tbh.scalars import sqrt_checked
 
 
@@ -16,15 +16,15 @@ def test_identity_is_neutral():
 
 def test_mat_eq_reflexive_and_exact():
     a = Matrix([[Fraction(1, 3), 0], [0, 1]])
-    assert mat_eq(a, a)
+    assert a.equal(a)
     b = Matrix([[Fraction(1, 3) + Fraction(1, 10**12), 0], [0, 1]])
-    assert not mat_eq(a, b)  # exact comparison for rational entries
+    assert not a.equal(b)  # exact comparison for rational entries
 
 
 def test_mat_eq_tolerant_for_floats():
     a = Matrix([[1.0, 0.0], [0.0, 1.0]])
     b = Matrix([[1.0 + 1e-13, 0.0], [0.0, 1.0]])
-    assert mat_eq(a, b)
+    assert a.equal(b)
 
 
 def test_dimension_mismatch():
@@ -44,7 +44,7 @@ def test_charpoly_example():
     assert abs(float(c1)) < 1e-12
     assert abs(float(c0) + 1) < 1e-12
     square = m * m
-    assert mat_eq(square, Matrix.identity(2))
+    assert square.equal(Matrix.identity(2))
 
 
 def test_scalar_multiplication_keeps_exactness():

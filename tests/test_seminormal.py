@@ -12,6 +12,7 @@ from tbh.bratteli import build_diagram, paths_to
 from tbh.errors import (
     ConnectivityFailure,
     CriterionFailure,
+    DistinctnessFailure,
     EntryPole,
     NotInPk,
     RelationFailure,
@@ -446,6 +447,48 @@ def test_greedy_walk_stall_is_covered():
         cur = apply_move(cur, mv, params)
         assert cur is not None
     assert cur == target
+
+
+def _module_2222_k3():
+    return sn.build_module((5, 3, 2, 1), HeckeParams(2, 2, 2, 2), 3)
+
+
+def test_simplicity_counts_one_projector_per_basis_tableau():
+    module = _module_2222_k3()
+    cert = sn.check_simplicity(module)
+    assert cert.projectors_checked == module.dim == 18
+    assert cert.to_dict()["projectors_checked"] == 18
+
+
+def test_content_collision_fails_distinctness():
+    module = _module_2222_k3()
+    contents = list(module.table.contents)
+    contents[1] = contents[0]
+    table = dataclasses.replace(module.table, contents=tuple(contents))
+    with pytest.raises(DistinctnessFailure):
+        sn.check_simplicity(dataclasses.replace(module, table=table))
+
+
+@pytest.mark.parametrize("zeroed", ["x1", "t"])
+def test_zeroed_witness_entry_fails_connectivity(zeroed):
+    module = _module_2222_k3()
+    table = module.table
+    # The first witness step that uses the chosen kind of move.
+    steps = []
+    for ti, moves in sn.check_simplicity(module).witnesses.items():
+        cur = ti
+        for mv in moves:
+            steps.append((cur, mv))
+            cur = table.neighbor_s[cur][mv]
+    cur, mv = next((cur, mv) for cur, mv in steps if (mv == 0) == (zeroed == "x1"))
+    if mv == 0:
+        table = dataclasses.replace(table, offdiag_x_sq={**table.offdiag_x_sq, cur: Fraction(0)})
+    else:
+        table = dataclasses.replace(
+            table, offdiag_t_sq={**table.offdiag_t_sq, (cur, mv): Fraction(0)}
+        )
+    with pytest.raises(ConnectivityFailure, match="zero entry"):
+        sn.check_simplicity(dataclasses.replace(module, table=table))
 
 
 # --- the rational gauge -------------------------------------------------------------
