@@ -445,12 +445,11 @@ def transposition_word(i: int, j: int):
     return word(*(ups + [(T, j - 1)] + downs))
 
 
-def definitions(params: HeckeParams, primary: str = "w"):
+def definitions(params: HeckeParams):
     """Definition table expanding derived generators.
 
-    ``primary`` states which commutative family is directly assigned:
-    "w" (the shifted one) or "z".  Either way x_{i+1}, y_i, m_i, and
-    transpositions expand recursively down to the assigned alphabet.
+    The shifted family w_i is the one assigned directly: z_i, x_{i+1},
+    y_i, m_i and transpositions expand recursively down to it.
     """
     k = params.k
     shift = params.shift
@@ -462,14 +461,8 @@ def definitions(params: HeckeParams, primary: str = "w"):
     for i in range(1, k + 1):
         defs[(M, i)] = wadd(*[transposition_word(j, i) for j in range(1, i)])
         defs[(Y, i)] = wadd(word((Z, i)), wneg(word((X, i))), word((M, i)))
-    if primary == "w":
-        for i in range(0, k + 1):
-            defs[(Z, i)] = wadd(word((W, i)), wconst(shift))
-    elif primary == "z":
-        for i in range(0, k + 1):
-            defs[(W, i)] = wadd(word((Z, i)), wconst(-shift))
-    else:
-        raise ValueError("primary must be 'w' or 'z'")
+    for i in range(0, k + 1):
+        defs[(Z, i)] = wadd(word((W, i)), wconst(shift))
     return defs
 
 

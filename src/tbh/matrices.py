@@ -1,14 +1,16 @@
-"""Dense square matrices, and the column-sparse operators words act through.
+"""Column-sparse exact operators, and dense matrices for dumps and tests.
 
-``Matrix`` is a plain tuple-of-tuples with generic arithmetic.  A matrix is
-*exact* when every entry is an int or Fraction; products and sums of exact
-matrices stay exact, and equality of exact matrices is exact.  As soon as
-an Approx (or raw float) entry appears, comparisons switch to the shared
-tolerance.
+``SparseOperator`` is the one operator representation of the checks: the
+seminormal modules and the tensor oracle both build their operators as
+SparseOperators, and the word evaluator applies them to lists of sparse
+columns ({row: entry} dicts) without ever forming a product of operators.
+Entries are exact only.
 
-``SparseOperator`` is the representation the word evaluator uses: exact
-entries only, stored column by column, applied to lists of sparse columns
-({row: entry} dicts) without ever forming a product of operators.
+``Matrix`` is a plain tuple-of-tuples with generic arithmetic; it now serves
+only the ``--dump`` output and the tests.  A matrix is *exact* when every
+entry is an int or Fraction; products and sums of exact matrices stay exact,
+and equality of exact matrices is exact.  As soon as an Approx (or raw
+float) entry appears, comparisons switch to the shared tolerance.
 """
 
 from __future__ import annotations
@@ -93,27 +95,20 @@ class Matrix:
         scalar = _normalize_scalar(scalar)
         return Matrix(tuple(tuple(scalar * a for a in r) for r in self.rows))
 
-    def transpose(self):
-        return Matrix(tuple(zip(*self.rows)))
-
     def trace(self):
         return sum(self.rows[i][i] for i in range(self.dim))
-
-    def entry(self, i, j):
-        return self.rows[i][j]
 
     def max_abs(self):
         return max((abs(float(_as_number(x))) for r in self.rows for x in r), default=0.0)
 
-    def equal(self, other, rel_tol=None):
+    def equal(self, other):
         """Exact comparison when both operands are exact, tolerance otherwise."""
         self._require_same_dim(other)
         if self.is_exact() and other.is_exact():
             return all(a == b for r, s in zip(self.rows, other.rows) for a, b in zip(r, s))
         scale = max(1.0, self.max_abs(), other.max_abs())
-        tol_kwargs = {} if rel_tol is None else {"rel_tol": rel_tol}
         return all(
-            approx_eq(float(_as_number(a)) / scale, float(_as_number(b)) / scale, **tol_kwargs)
+            approx_eq(float(_as_number(a)) / scale, float(_as_number(b)) / scale)
             for r, s in zip(self.rows, other.rows)
             for a, b in zip(r, s)
         )
@@ -130,8 +125,9 @@ def apply_to_columns(a: Matrix, cols):
     """Compute a @ cols for a rectangular column block.
 
     ``cols`` is a list of column vectors (each a list of entries of length
-    a.dim).  Used to drive square operators through a tall inclusion matrix
-    without forming non-square Matrix objects.
+    a.dim).  Nothing in the package calls it any more: the tensor oracle
+    applies SparseOperators to its sparse inclusion columns.  It stays
+    because the benchmark tracer wraps it by name.
     """
     n = a.dim
     out = []

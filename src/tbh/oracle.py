@@ -2,8 +2,8 @@
 
 The carrier is the subspace U = im(e_M) x im(e_N) x V^{x k} of the ambient
 tensor power V^{x(ap+bq+k)}, where e_M and e_N are Young symmetrizers for
-the rectangles.  All operators are built as ambient integer matrices from
-leg transpositions:
+the rectangles.  All operators are exact column-sparse operators on the
+ambient space, built from leg transpositions:
 
 * gamma acting on factor sets A and B is the sum of leg swaps P_{l,m}
   over l in A, m in B (trace-form dual bases collapse to swaps);
@@ -11,10 +11,13 @@ leg transpositions:
 * the braid/Hecke generator images are gamma sums with the scalar
   constants folded in, so for gl_n the twisted images are integral.
 
-Relations that only hold on U are checked against the inclusion columns J;
-identities that hold ambient-wide (commutant, factor-difference identity)
-are checked on the full matrices.  Spectral multiplicities come from exact
-fraction-free rank computations; no numerical eigensolver is involved.
+Sums and scalar shifts of operators are linear words, run through the
+same word evaluator as the relations.  Relations that only hold on U are
+checked on the sparse inclusion columns J; identities that hold
+ambient-wide (commutant, factor-difference identity, twist shifts) are
+checked on all ambient columns.  Both are exact comparisons of sparse
+column lists.  Spectral multiplicities come from exact fraction-free rank
+computations; no numerical eigensolver is involved.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .errors import (
     RelationFailure,
     SpectrumMismatch,
 )
-from .matrices import Matrix, SparseOperator, apply_to_columns, rank_exact
+from .matrices import SparseOperator, rank_exact
 from .params import HeckeParams
 from .partitions import as_partition, enum_Pk, shifted_content, tableaux_to, weyl_dim
 
@@ -75,11 +78,6 @@ def casimir_constant_gl(lam, n: int) -> int:
     get = lambda i: lam[i - 1] if i <= len(lam) else 0
     inner = sum(get(i) * (get(i) + 2 * (n - i)) for i in range(1, n + 1))
     return inner - (n - 1) * sum(lam)
-
-
-def _intify(c):
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
 
 
 # ---------------------------------------------------------------------------
@@ -130,24 +128,33 @@ class Carrier:
         return idx
 
 
-def _columns_to_matrix(dim, cols):
-    rows = [[0] * dim for _ in range(dim)]
-    for j, col in enumerate(cols):
-        for i, v in col.items():
-            rows[i][j] = v
-    return Matrix(rows)
+def _linear_word(terms, const=0):
+    """The word sum_j c_j g_j + const and the assignment g_j -> op_j.
+
+    ``terms`` are (c_j, op_j) pairs.  A sum or scalar shift of operators is
+    this word: evaluated on the identity columns it gives the operator, on
+    other columns their images, with no operator arithmetic of its own.
+    """
+    word = algebra.wadd(
+        algebra.wconst(const), *(algebra.word(j, coeff=c) for j, (c, _) in enumerate(terms))
+    )
+    return word, {j: op for j, (_, op) in enumerate(terms)}
 
 
-def leg_swap(carrier: Carrier, l1: int, l2: int) -> Matrix:
+def _linear_operator(dim, terms, const=0) -> SparseOperator:
+    return SparseOperator(algebra.evaluate_word(*_linear_word(terms, const), dim=dim))
+
+
+def leg_swap(carrier: Carrier, l1: int, l2: int) -> SparseOperator:
     cols = []
     for j in range(carrier.dim):
         t = list(carrier.decode(j))
         t[l1], t[l2] = t[l2], t[l1]
         cols.append({carrier.encode(t): 1})
-    return _columns_to_matrix(carrier.dim, cols)
+    return SparseOperator(cols)
 
 
-def gamma_pair(carrier: Carrier, factor_a, factor_b) -> Matrix:
+def gamma_pair(carrier: Carrier, factor_a, factor_b) -> SparseOperator:
     """Sum over leg pairs of the two factors of the value swap."""
     legs_a = carrier.legs(factor_a)
     legs_b = carrier.legs(factor_b)
@@ -164,10 +171,10 @@ def gamma_pair(carrier: Carrier, factor_a, factor_b) -> Matrix:
                 i = carrier.encode(s)
                 col[i] = col.get(i, 0) + 1
         cols.append(col)
-    return _columns_to_matrix(carrier.dim, cols)
+    return SparseOperator(cols)
 
 
-def elementary_action(carrier: Carrier, i: int, j: int, legs) -> Matrix:
+def elementary_action(carrier: Carrier, i: int, j: int, legs) -> SparseOperator:
     """E_ij acting as a derivation across the given legs (0-indexed values)."""
     cols = []
     for idx in range(carrier.dim):
@@ -180,20 +187,17 @@ def elementary_action(carrier: Carrier, i: int, j: int, legs) -> Matrix:
                 new = carrier.encode(s)
                 col[new] = col.get(new, 0) + 1
         cols.append(col)
-    return _columns_to_matrix(carrier.dim, cols)
+    return SparseOperator(cols)
 
 
-def kappa_operator(carrier: Carrier, legs) -> Matrix:
+def kappa_operator(carrier: Carrier, legs) -> SparseOperator:
     """Casimir on the subfactor spanned by ``legs``: |legs| n + 2 internal swaps."""
     legs = tuple(legs)
-    op = Matrix.identity(carrier.dim) * (len(legs) * carrier.n)
-    for a in range(len(legs)):
-        for b in range(a + 1, len(legs)):
-            op = op + leg_swap(carrier, legs[a], legs[b]) * 2
-    return op
+    swaps = [(2, leg_swap(carrier, la, lb)) for la, lb in itertools.combinations(legs, 2)]
+    return _linear_operator(carrier.dim, swaps, len(legs) * carrier.n)
 
 
-def casimir_leq(carrier: Carrier, factor, j: int) -> Matrix:
+def casimir_leq(carrier: Carrier, factor, j: int) -> SparseOperator:
     """kappa on the factor together with the first j copies of V.
 
     Assembled per the iterated coproduct: kappa_X + j kappa_V
@@ -201,14 +205,10 @@ def casimir_leq(carrier: Carrier, factor, j: int) -> Matrix:
     """
     if j > carrier.k:
         raise FactorOutOfRange(f"only {carrier.k} copies of V")
-    op = kappa_operator(carrier, carrier.legs(factor))
-    op = op + Matrix.identity(carrier.dim) * (j * carrier.n)
-    for i in range(1, j + 1):
-        op = op + gamma_pair(carrier, factor, i) * 2
-    for r in range(1, j + 1):
-        for s in range(r + 1, j + 1):
-            op = op + gamma_pair(carrier, r, s) * 2
-    return op
+    terms = [(1, kappa_operator(carrier, carrier.legs(factor)))]
+    terms += [(2, gamma_pair(carrier, factor, i)) for i in range(1, j + 1)]
+    terms += [(2, gamma_pair(carrier, r, s)) for r, s in itertools.combinations(range(1, j + 1), 2)]
+    return _linear_operator(carrier.dim, terms, j * carrier.n)
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +414,20 @@ def _validate_caps(params: HeckeParams, n: int):
         raise CapExceeded(f"carrier dimension {carrier_dim} exceeds {MAX_CARRIER_DIM}")
 
 
+def _dense_rows(columns):
+    """Dense rows of a block of sparse columns, for rank_exact.
+
+    Rows that are zero in every column are left out: they do not change
+    the rank.
+    """
+    support = sorted(set().union(*columns))
+    return [[col.get(r, 0) for col in columns] for r in support]
+
+
+# Factors whose gamma with V factor i opens the x, y and z images.
+_HEADS = {"x": ("M",), "y": ("N",), "z": ("M", "N")}
+
+
 class TensorOracle:
     """Ambient operators, inclusion columns, and the verification suites."""
 
@@ -428,10 +442,7 @@ class TensorOracle:
         self._gamma_cache = {}
         self._mod_m = realize_module((params.a,) * params.p, n)
         self._mod_n = realize_module((params.b,) * params.q, n)
-        self.inclusion = self._build_inclusion()
-        self.inclusion_columns = [
-            {i: v for i, v in enumerate(col) if v} for col in self.inclusion
-        ]
+        self.inclusion_columns = self._build_inclusion()
 
     # -- operators ---------------------------------------------------------
 
@@ -441,85 +452,66 @@ class TensorOracle:
             self._gamma_cache[key] = gamma_pair(self.carrier, fa, fb)
         return self._gamma_cache[key]
 
+    def _sum(self, terms, const=0) -> SparseOperator:
+        return _linear_operator(self.carrier.dim, terms, const)
+
+    def _gamma_terms(self, kind, i, coeff):
+        """coeff * gamma_{F,i} for the head factors F of ``kind``, then for l < i."""
+        return [(coeff, self.gamma(f, i)) for f in _HEADS[kind] + tuple(range(1, i))]
+
     def t_image(self, i):
         legs = self.carrier.legs(i) + self.carrier.legs(i + 1)
         return leg_swap(self.carrier, legs[0], legs[1])
 
-    def x_image(self, i, twisted=True):
-        op = self.gamma("M", i)
-        for l in range(1, i):
-            op = op + self.gamma(l, i)
-        if not twisted:
-            op = op + Matrix.identity(self.carrier.dim) * Fraction(self.n, 2)
-        return op
+    def x_image(self, i):
+        return self._sum(self._gamma_terms("x", i, 1))
 
-    def y_image(self, i, twisted=True):
-        op = self.gamma("N", i)
-        for l in range(1, i):
-            op = op + self.gamma(l, i)
-        if not twisted:
-            op = op + Matrix.identity(self.carrier.dim) * Fraction(self.n, 2)
-        return op
+    def y_image(self, i):
+        return self._sum(self._gamma_terms("y", i, 1))
 
-    def z_image(self, i, twisted=True):
+    def z_image(self, i):
         if i == 0:
-            op = self.gamma("M", "N")
-            if twisted:
-                op = op + Matrix.identity(self.carrier.dim) * self.c_z
-            return op
-        op = self.gamma("M", i) + self.gamma("N", i)
-        for l in range(1, i):
-            op = op + self.gamma(l, i)
-        if not twisted:
-            op = op + Matrix.identity(self.carrier.dim) * self.n
-        return op
+            return self._sum([(1, self.gamma("M", "N"))], self.c_z)
+        return self._sum(self._gamma_terms("z", i, 1))
 
     def w_image(self, i):
-        return self.z_image(i) - Matrix.identity(self.carrier.dim) * self.params.shift
+        return self._sum([(1, self.z_image(i))], -self.params.shift)
 
-    def phi_images(self, twisted=True):
-        """Matrices for every generator kind, twisted by default."""
+    def phi_images(self):
+        """Twisted operators for every generator kind."""
         k = self.params.k
         out = {}
         for i in range(1, k):
             out[(algebra.T, i)] = self.t_image(i)
         for i in range(1, k + 1):
-            out[(algebra.X, i)] = self.x_image(i, twisted)
-            out[(algebra.Y, i)] = self.y_image(i, twisted)
-            out[(algebra.Z, i)] = self.z_image(i, twisted)
-        out[(algebra.Z, 0)] = self.z_image(0, twisted)
-        if twisted:
-            for i in range(0, k + 1):
-                out[(algebra.W, i)] = self.w_image(i)
+            out[(algebra.X, i)] = self.x_image(i)
+            out[(algebra.Y, i)] = self.y_image(i)
+            out[(algebra.Z, i)] = self.z_image(i)
+        out[(algebra.Z, 0)] = self.z_image(0)
+        for i in range(0, k + 1):
+            out[(algebra.W, i)] = self.w_image(i)
         return out
 
     # -- inclusion ---------------------------------------------------------
 
     def _build_inclusion(self):
-        """Columns of im(e_M) x im(e_N) x V^{x k} in the ambient basis."""
-        n, k = self.n, self.params.k
-        bm = self._mod_m.columns
-        bn = self._mod_n.columns
-        dim_m_amb = n ** self._mod_m.power
-        dim_n_amb = n ** self._mod_n.power
-        nk = n ** k
+        """Sparse columns of im(e_M) x im(e_N) x V^{x k} in the ambient basis."""
+        nk = self.n ** self.params.k
+        dim_n_amb = self.n ** self._mod_n.power
         cols = []
-        for cm in bm:
+        for cm in self._mod_m.columns:
             nz_m = [(i, v) for i, v in enumerate(cm) if v]
-            for cn in bn:
+            for cn in self._mod_n.columns:
                 nz_n = [(i, v) for i, v in enumerate(cn) if v]
                 for t in range(nk):
-                    col = [0] * self.carrier.dim
-                    for im, vm in nz_m:
-                        base_m = im * dim_n_amb * nk
-                        for inn, vn in nz_n:
-                            col[base_m + inn * nk + t] = vm * vn
-                    cols.append(col)
+                    cols.append(
+                        {(im * dim_n_amb + inn) * nk + t: vm * vn for im, vm in nz_m for inn, vn in nz_n}
+                    )
         return cols
 
     @property
     def module_dim(self):
-        return len(self.inclusion)
+        return len(self.inclusion_columns)
 
     # -- word evaluation on the inclusion -----------------------------------
 
@@ -536,7 +528,7 @@ class TensorOracle:
         params = self.params
         if catalog is None:
             catalog = algebra.relations_short(params)
-        ops = {g: SparseOperator.from_matrix(m) for g, m in self.phi_images().items()}
+        ops = self.phi_images()
         defs = algebra.definitions(params)
         results = []
         for rel in catalog:
@@ -555,8 +547,8 @@ class TensorOracle:
 
         Checked on the integral generating family t, x_i, y_i, z_i; the
         shifted w_i differ from z_i by central scalars, so nothing more is
-        needed.  The E_ij action is applied sparsely through its
-        (source, target) index pairs rather than as a dense product.
+        needed.  The columns of G E and E G are compared, each computed by
+        applying one sparse operator to the columns of the other.
         """
         k = self.params.k
         gens = {}
@@ -567,40 +559,13 @@ class TensorOracle:
             gens[("y", i)] = self.y_image(i)
             gens[("z", i)] = self.z_image(i)
         gens[("z", 0)] = self.gamma("M", "N")
-        dim = self.carrier.dim
         legs = tuple(range(self.carrier.total_legs))
         checked = 0
         for i in range(self.n):
             for j in range(self.n):
-                pairs = []  # E_ij moves e_src to e_dst, once per matching leg
-                for src in range(dim):
-                    t = self.carrier.decode(src)
-                    for leg in legs:
-                        if t[leg] == j:
-                            s = list(t)
-                            s[leg] = i
-                            pairs.append((src, self.carrier.encode(s)))
+                e = elementary_action(self.carrier, i, j, legs)
                 for name, g in gens.items():
-                    gcols = list(zip(*g.rows))
-                    # column c of G E = sum of G columns hit by E e_c
-                    ge = [[0] * dim for _ in range(dim)]
-                    for src, dst in pairs:
-                        col = ge[src]
-                        gcol = gcols[dst]
-                        for r in range(dim):
-                            v = gcol[r]
-                            if v:
-                                col[r] += v
-                    # column c of E G = E applied to column c of G
-                    eg = [[0] * dim for _ in range(dim)]
-                    for c in range(dim):
-                        gcol = gcols[c]
-                        col = eg[c]
-                        for src, dst in pairs:
-                            v = gcol[src]
-                            if v:
-                                col[dst] += v
-                    if ge != eg:
+                    if g.apply(e.cols) != e.apply(g.cols):
                         raise CommutantFailure(f"{name} does not commute with E[{i},{j}]")
                     checked += 1
         return {"pairs_checked": checked}
@@ -636,17 +601,15 @@ class TensorOracle:
                 raise SpectrumMismatch(
                     f"predicted multiplicities for z_{i} sum to {total}, dim is {d}"
                 )
-            cols = [list(c) for c in self.inclusion]
+            shifted = {c: self._sum([(1, op)], -c) for c in pred}
+            cols = self.inclusion_columns
             for c in sorted(pred):
-                shifted = op - Matrix.identity(self.carrier.dim) * _intify(c)
-                cols = apply_to_columns(shifted, cols)
-            if any(v != 0 for col in cols for v in col):
+                cols = shifted[c].apply(cols)
+            if any(cols):
                 raise SpectrumMismatch(f"annihilating polynomial of z_{i} is nonzero")
             for c, mult in sorted(pred.items()):
-                shifted = op - Matrix.identity(self.carrier.dim) * _intify(c)
-                image = apply_to_columns(shifted, [list(col) for col in self.inclusion])
                 # rank of the restriction as a map out of the submodule
-                rank = rank_exact([list(row) for row in zip(*image)])
+                rank = rank_exact(_dense_rows(shifted[c].apply(self.inclusion_columns)))
                 if d - rank != mult:
                     raise SpectrumMismatch(
                         f"z_{i} eigenvalue {c}: multiplicity {d - rank}, predicted {mult}"
@@ -659,17 +622,14 @@ class TensorOracle:
         lam = as_partition(lam)
         if len(lam) > self.n:
             return 0
-        stacked = []
         legs = tuple(range(self.carrier.total_legs))
-        for i in range(self.n - 1):
-            raising = elementary_action(self.carrier, i, i + 1, legs)
-            stacked.extend(zip(*apply_to_columns(raising, [list(c) for c in self.inclusion])))
+        ops = [elementary_action(self.carrier, i, i + 1, legs) for i in range(self.n - 1)]
         get = lambda i: lam[i - 1] if i <= len(lam) else 0
         for j in range(self.n):
             weight_op = elementary_action(self.carrier, j, j, legs)
-            shifted = weight_op - Matrix.identity(self.carrier.dim) * get(j + 1)
-            stacked.extend(zip(*apply_to_columns(shifted, [list(c) for c in self.inclusion])))
-        return self.module_dim - rank_exact([list(r) for r in stacked])
+            ops.append(self._sum([(1, weight_op)], -get(j + 1)))
+        stacked = [row for op in ops for row in _dense_rows(op.apply(self.inclusion_columns))]
+        return self.module_dim - rank_exact(stacked)
 
     def check_dimension_bookkeeping(self):
         """Sum over shapes of path count x Weyl dimension equals the carrier."""
@@ -684,34 +644,37 @@ class TensorOracle:
         """x_{i+1} - t x_i t = y_{i+1} - t y_i t = z_{i+1} - t z_i t = gamma_{i,i+1}.
 
         An ambient operator identity for the untwisted action; checked on
-        doubled operators to stay integral.
+        doubled operators to stay integral.  On two copies of V,
+        gamma_{i,i+1} is the single leg swap t_i, so the right side is t_i:
+        the cached gamma_{i,i+1} is a term of the left side and would
+        cancel against itself.
         """
         k = self.params.k
+        difference = algebra.wsub(algebra.word("b"), algebra.word("t", "a", "t"))
         for i in range(1, k):
             t = self.t_image(i)
-            g2 = self.gamma(i, i + 1) * 2
+            expected = algebra.evaluate_word(algebra.word("t", coeff=2), {"t": t})
             for kind in ("x", "y", "z"):
-                a2 = self.untwisted_doubled(kind, i)
-                b2 = self.untwisted_doubled(kind, i + 1)
-                if not (b2 - t * (a2 * t)).equal(g2):
+                ops = {
+                    "t": t,
+                    "a": self.untwisted_doubled(kind, i),
+                    "b": self.untwisted_doubled(kind, i + 1),
+                }
+                if algebra.evaluate_word(difference, ops) != expected:
                     raise RelationFailure(f"{kind} factor difference at {i}", "nonzero")
         return k - 1
 
-    def untwisted_doubled(self, kind, i) -> Matrix:
+    def untwisted_doubled(self, kind, i) -> SparseOperator:
         """2 * (untwisted image): integral since 2 * (n/2) = n.
 
         x_i doubles to 2(gamma_M,i + sum gamma) + n; y_i likewise with N;
         z_i doubles to 2(gamma_M,i + gamma_N,i + sum gamma) + 2n, and z_0
-        to 2 gamma_{M,N}.
+        to 2 gamma_{M,N}.  Built from the gammas, not from the twisted
+        images, so that check_twist_shifts compares two constructions.
         """
-        ident = Matrix.identity(self.carrier.dim)
-        if kind == "x":
-            return self.x_image(i) * 2 + ident * self.n
-        if kind == "y":
-            return self.y_image(i) * 2 + ident * self.n
-        if i == 0:
-            return self.gamma("M", "N") * 2
-        return (self.z_image(i) * 2) + ident * (2 * self.n)
+        if kind == "z" and i == 0:
+            return self._sum([(2, self.gamma("M", "N"))])
+        return self._sum(self._gamma_terms(kind, i, 2), self.n * len(_HEADS[kind]))
 
     def check_twist_shifts(self):
         """Twisted and untwisted images differ exactly by the scalar shifts.
@@ -719,8 +682,13 @@ class TensorOracle:
         Compared at double scale so everything stays integral: the gl
         shifts are (i-1) d + c = -n/2 for x and y and -n for z.
         """
+
+        def shifted_by(twisted, untwisted2, shift):
+            doubled = algebra.evaluate_word(*_linear_word([(2, twisted)]))
+            return doubled == algebra.evaluate_word(*_linear_word([(1, untwisted2)], 2 * shift))
+
         consts = twist_constants(self.params, self.n)
-        ident = Matrix.identity(self.carrier.dim)
+        images = {"x": self.x_image, "y": self.y_image, "z": self.z_image}
         k = self.params.k
         for i in range(1, k + 1):
             for kind, shift in (
@@ -728,13 +696,8 @@ class TensorOracle:
                 ("y", (i - 1) * consts["d"] + consts["c_y"]),
                 ("z", (i - 1) * consts["d"] + consts["c_x"] + consts["c_y"]),
             ):
-                twisted2 = {"x": self.x_image(i), "y": self.y_image(i), "z": self.z_image(i)}[
-                    kind
-                ] * 2
-                untwisted2 = self.untwisted_doubled(kind, i)
-                if not twisted2.equal(untwisted2 + ident * (2 * shift)):
+                if not shifted_by(images[kind](i), self.untwisted_doubled(kind, i), shift):
                     raise RelationFailure(f"{kind} twist shift at {i}", "nonzero")
-        z0_doubled = self.z_image(0) * 2
-        if not z0_doubled.equal(self.untwisted_doubled("z", 0) + ident * (2 * self.c_z)):
+        if not shifted_by(self.z_image(0), self.untwisted_doubled("z", 0), self.c_z):
             raise RelationFailure("z_0 twist shift", "nonzero")
         return k

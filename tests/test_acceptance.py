@@ -13,7 +13,7 @@ import pytest
 from tbh import algebra as al
 from tbh import seminormal as sn
 from tbh.bratteli import build_diagram
-from tbh.matrices import SparseOperator
+from tbh.matrices import Matrix, SparseOperator
 from tbh.oracle import Carrier, TensorOracle, casimir_constant_gl, kappa_operator, realize_module
 from tbh.params import HeckeParams
 from tbh.partitions import (
@@ -29,6 +29,15 @@ from tbh.partitions import (
     tableaux_to,
     weyl_dim,
 )
+
+def dense(op):
+    """The Matrix of a SparseOperator, for reading its rows."""
+    rows = [[0] * op.dim for _ in range(op.dim)]
+    for j, col in enumerate(op.cols):
+        for i, v in col.items():
+            rows[i][j] = v
+    return Matrix(rows)
+
 
 PARAM_GRID = [
     HeckeParams(a, b, p, q)
@@ -208,7 +217,7 @@ def test_criterion_09_casimir_constants():
                 real = realize_module(lam, n)
                 assert real.dim == weyl_dim(lam, n)
                 carrier = Carrier(n, size, 0, 0)
-                kappa = kappa_operator(carrier, range(size))
+                kappa = dense(kappa_operator(carrier, range(size)))
                 const = casimir_constant_gl(lam, n)
                 for col in real.columns:
                     image = [

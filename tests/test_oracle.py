@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from tbh import algebra as al
-from tbh.errors import CapExceeded, HeightExceeded, SpectrumMismatch
-from tbh.matrices import Matrix, apply_to_columns, rank_exact
+from tbh.errors import CapExceeded, CommutantFailure, HeightExceeded, RelationFailure, SpectrumMismatch
+from tbh.matrices import Matrix, SparseOperator, apply_to_columns, rank_exact
 from tbh.oracle import (
     Carrier,
     TensorOracle,
@@ -22,6 +22,15 @@ from tbh.oracle import (
 )
 from tbh.params import HeckeParams
 from tbh.partitions import all_partitions_of, weyl_dim
+
+
+def dense(op):
+    """The Matrix of a SparseOperator, for Matrix arithmetic in assertions."""
+    rows = [[0] * op.dim for _ in range(op.dim)]
+    for j, col in enumerate(op.cols):
+        for i, v in col.items():
+            rows[i][j] = v
+    return Matrix(rows)
 
 
 # --- constants ---------------------------------------------------------------
@@ -62,7 +71,7 @@ def test_casimir_constant_examples():
 
 def test_gamma_on_two_vectors_n2():
     carrier = Carrier(2, 1, 1, 0)
-    g = gamma_pair(carrier, "M", "N")
+    g = dense(gamma_pair(carrier, "M", "N"))
     # gamma acts by 1 on the symmetric square and -1 on the alternating part
     assert g.trace() == 2
     rows = [
@@ -77,13 +86,13 @@ def test_gamma_on_two_vectors_n2():
 
 def test_gamma_is_symmetric_in_its_factors():
     carrier = Carrier(2, 2, 1, 1)
-    assert gamma_pair(carrier, "M", "N") == gamma_pair(carrier, "N", "M")
-    assert gamma_pair(carrier, "M", 1) == gamma_pair(carrier, 1, "M")
+    assert gamma_pair(carrier, "M", "N").cols == gamma_pair(carrier, "N", "M").cols
+    assert gamma_pair(carrier, "M", 1).cols == gamma_pair(carrier, 1, "M").cols
 
 
 def test_kappa_leq_zero_is_kappa():
     carrier = Carrier(2, 2, 1, 1)
-    assert casimir_leq(carrier, "M", 0) == kappa_operator(carrier, carrier.legs("M"))
+    assert casimir_leq(carrier, "M", 0).cols == kappa_operator(carrier, carrier.legs("M")).cols
 
 
 def test_factor_out_of_range():
@@ -100,13 +109,13 @@ def test_factor_out_of_range():
 
 def test_kappa_V_operator():
     carrier = Carrier(3, 1, 1, 1)
-    assert kappa_operator(carrier, carrier.legs(1)) == Matrix.identity(27) * 3
+    assert dense(kappa_operator(carrier, carrier.legs(1))) == Matrix.identity(27) * 3
 
 
 def test_kappa_on_symmetric_square_is_six():
     # kappa acts by 6 on the L((2)) component of V x V for gl_2.
     carrier = Carrier(2, 2, 0, 0)
-    kappa = kappa_operator(carrier, carrier.legs("M"))
+    kappa = dense(kappa_operator(carrier, carrier.legs("M")))
     cols = realize_module((2,), 2).columns
     for col in cols:
         image = [sum(kappa.rows[i][j] * col[j] for j in range(4)) for i in range(4)]
@@ -121,7 +130,7 @@ def test_kappa_leq_matches_direct_inclusion():
         direct = kappa_operator(
             carrier, carrier.legs("MN") + tuple(carrier.legs(i)[0] for i in range(1, j + 1))
         )
-        assert via_formula == direct
+        assert via_formula.cols == direct.cols
 
 
 def test_bracket_relations_on_carrier():
@@ -130,7 +139,7 @@ def test_bracket_relations_on_carrier():
     legs = tuple(range(carrier.total_legs))
     rng = random.Random(11)
     ops = {
-        (i, j): elementary_action(carrier, i, j, legs)
+        (i, j): dense(elementary_action(carrier, i, j, legs))
         for i in range(2)
         for j in range(2)
     }
@@ -185,7 +194,7 @@ def test_casimir_acts_by_constant_on_realized_modules():
             for lam in all_partitions_of(size, n):
                 real = realize_module(lam, n)
                 carrier = Carrier(n, size, 0, 0)
-                kappa = kappa_operator(carrier, range(size))
+                kappa = dense(kappa_operator(carrier, range(size)))
                 const = casimir_constant_gl(lam, n)
                 for col in real.columns:
                     image = [
@@ -200,7 +209,7 @@ def test_casimir_acts_by_constant_on_realized_modules():
 
 def test_swap_image():
     oracle = TensorOracle(HeckeParams(1, 1, 1, 1, 2), 2)
-    t1 = oracle.t_image(1)
+    t1 = dense(oracle.t_image(1))
     # the 4x4 swap on the two V factors, tensored over M x N
     for idx in range(oracle.carrier.dim):
         digits = list(oracle.carrier.decode(idx))
@@ -212,7 +221,7 @@ def test_swap_image():
 
 def test_x1_annihilating_polynomial():
     oracle = TensorOracle(HeckeParams(1, 1, 1, 1, 1), 2)
-    x1 = oracle.x_image(1)
+    x1 = dense(oracle.x_image(1))
     ident = Matrix.identity(oracle.carrier.dim)
     assert (x1 - ident) * (x1 + ident) == ident * 0
 
@@ -268,10 +277,10 @@ def test_transport_negative_control_gamma_factor():
     assert failing == {"commute.xw", "twist.xw0", "twist.xw1"}
     # ... while the corrupted operator still commutes with the action
     legs = tuple(range(oracle.carrier.total_legs))
-    bad = oracle.gamma("M", 2)
+    bad = dense(oracle.gamma("M", 2))
     for i in range(2):
         for j in range(2):
-            action = elementary_action(oracle.carrier, i, j, legs)
+            action = dense(elementary_action(oracle.carrier, i, j, legs))
             assert bad * action == action * bad
 
 
@@ -279,6 +288,48 @@ def test_twist_shift_and_factor_difference():
     oracle = TensorOracle(HeckeParams(1, 1, 1, 1, 2), 2)
     assert oracle.check_twist_shifts() == 2
     assert oracle.check_factor_difference() == 1
+
+
+def _bumped(op, j, row):
+    """A copy of op with entry (row, j) raised by one."""
+    cols = [dict(col) for col in op.cols]
+    cols[j][row] = cols[j].get(row, 0) + 1
+    return SparseOperator(cols)
+
+
+def test_commutant_negative_control_moved_t_column():
+    # t_1 with basis column 0 sent to e_1 instead of e_0 is no longer
+    # g-equivariant: E_00 sees a different weight on the two sides.
+    oracle = TensorOracle(HeckeParams(1, 1, 1, 1, 2), 2)
+    cols = list(oracle.t_image(1).cols)
+    assert cols[0] == {0: 1}
+    cols[0] = {1: 1}
+    moved = SparseOperator(cols)
+    oracle.t_image = lambda i: moved
+    with pytest.raises(CommutantFailure, match=r"\('t', 1\)"):
+        oracle.check_commutant()
+
+
+def test_factor_difference_negative_control_gamma_entry():
+    # x_2, y_2 and z_2 are built from the corrupted gamma_{1,2}; the right
+    # side, the leg swap t_1, is not, so the difference shows.
+    oracle = TensorOracle(HeckeParams(1, 1, 1, 1, 2), 2)
+    gamma = oracle.gamma
+    bad = _bumped(gamma(1, 2), 0, 0)
+    oracle.gamma = lambda fa, fb: bad if (fa, fb) == (1, 2) else gamma(fa, fb)
+    with pytest.raises(RelationFailure, match="factor difference at 1"):
+        oracle.check_factor_difference()
+
+
+def test_twist_shift_negative_control_x_entry():
+    # The untwisted x_1 is built from the gammas, not from x_image, so a
+    # corrupted twisted image no longer differs from it by the scalar shift.
+    oracle = TensorOracle(HeckeParams(1, 1, 1, 1, 2), 2)
+    x_image = oracle.x_image
+    bad = _bumped(x_image(1), 3, 5)
+    oracle.x_image = lambda i: bad if i == 1 else x_image(i)
+    with pytest.raises(RelationFailure, match="x twist shift at 1"):
+        oracle.check_twist_shifts()
 
 
 def test_dimension_bookkeeping():
@@ -320,7 +371,7 @@ def test_x1_multiplicities_match_seminormal_blocks_b_zero():
     params = HeckeParams(1, 2, 2, 1, 1)
     n = 3
     oracle = TensorOracle(params, n)
-    x1 = oracle.x_image(1)
+    x1 = dense(oracle.x_image(1))
     predicted = {params.a: 0, -params.p: 0}
     for lam in enum_Pk(params, 1, max_height=n):
         table = sn.entry_table(lam, params, 1)
@@ -332,6 +383,7 @@ def test_x1_multiplicities_match_seminormal_blocks_b_zero():
                 predicted[params.a] += Fraction(weight, 2)
                 predicted[-params.p] += Fraction(weight, 2)
     ident = Matrix.identity(oracle.carrier.dim)
+    inclusion = [[col.get(r, 0) for r in range(oracle.carrier.dim)] for col in oracle.inclusion_columns]
     for value, mult in predicted.items():
-        image = apply_to_columns(x1 - ident * value, oracle.inclusion)
+        image = apply_to_columns(x1 - ident * value, inclusion)
         assert oracle.module_dim - rank_exact([list(row) for row in zip(*image)]) == mult
