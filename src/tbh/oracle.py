@@ -132,8 +132,8 @@ def _linear_word(terms, const=0):
     """The word sum_j c_j g_j + const and the assignment g_j -> op_j.
 
     ``terms`` are (c_j, op_j) pairs.  A sum or scalar shift of operators is
-    this word: evaluated on the identity columns it gives the operator, on
-    other columns their images, with no operator arithmetic of its own.
+    this word, evaluated on the identity columns by the word evaluator, so
+    operators need no arithmetic of their own.
     """
     word = algebra.wadd(
         algebra.wconst(const), *(algebra.word(j, coeff=c) for j, (c, _) in enumerate(terms))
