@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 internal failure, 2 argument validation,
 3 requested shape not in P_k, 4 oracle cap violation.  Rationals print as
-"p/q"; floats print with 12 significant digits.  TBH_LOG=debug turns on
-verbose logging.
+"p/q"; floats print with 12 significant digits.  TBH_LOG=debug logs one
+line per verified module and one per oracle stage to stderr.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import logging
 import os
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
@@ -96,9 +97,12 @@ def _verify_one(job):
     params, lam, k, dump_dir = job
     module = seminormal.build_module(lam, params, k)
     seminormal.check_criteria(lam, params, k)
-    if k >= 1:
-        seminormal.check_full_relations(module)
+    relations = seminormal.check_full_relations(module) if k >= 1 else []
     cert = seminormal.check_simplicity(module)
+    log.debug(
+        "verified lambda=(%s) dim=%d relations=%d witnesses=%d",
+        ",".join(map(str, lam)), module.dim, len(relations), len(cert.witnesses),
+    )
     dev_x, dev_y = seminormal.quadratic_deviation(module) if k >= 1 else (0, 0)
     if dump_dir:
         import json
@@ -154,19 +158,28 @@ def cmd_oracle(args) -> int:
         print(f"error: cap violated: {exc}", file=sys.stderr)
         return EXIT_CAP
     rows = []
+    clock = time.perf_counter()
+
+    def passed(stage, message):
+        nonlocal clock
+        now = time.perf_counter()
+        log.debug("oracle stage %s: %s (%.3f s)", stage, message, now - clock)
+        clock = now
+        rows.append((stage, message))
+
     total = oracle.check_dimension_bookkeeping()
-    rows.append(("dimension bookkeeping", f"carrier dim {total}"))
+    passed("dimension bookkeeping", f"carrier dim {total}")
     oracle.check_commutant()
-    rows.append(("commutant", "all generator images commute with gl_n"))
+    passed("commutant", "all generator images commute with gl_n")
     oracle.check_transport()
-    rows.append(("relation transport", "full catalog exact"))
+    passed("relation transport", "full catalog exact")
     if params.k >= 1:
         oracle.check_factor_difference()
-        rows.append(("factor difference", "gamma identity exact"))
+        passed("factor difference", "gamma identity exact")
     oracle.check_twist_shifts()
-    rows.append(("twist shifts", "twisted vs untwisted exact"))
+    passed("twist shifts", "twisted vs untwisted exact")
     spectra = oracle.check_spectra()
-    rows.append(("spectra", f"{len(spectra)} eigenvalue multiplicities verified"))
+    passed("spectra", f"{len(spectra)} eigenvalue multiplicities verified")
     width = max(len(r[0]) for r in rows)
     for name, message in rows:
         print(f"{name:<{width}}  pass  {message}")

@@ -9,8 +9,8 @@ Entries are exact only.
 ``Matrix`` is a plain tuple-of-tuples with generic arithmetic; it now serves
 only the ``--dump`` output and the tests.  A matrix is *exact* when every
 entry is an int or Fraction; products and sums of exact matrices stay exact,
-and equality of exact matrices is exact.  As soon as an Approx (or raw
-float) entry appears, comparisons switch to the shared tolerance.
+and equality of exact matrices is exact.  As soon as a float entry
+appears, comparisons switch to the shared tolerance.
 """
 
 from __future__ import annotations
@@ -20,11 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, InexactEntry
-from .scalars import Approx, approx_eq
-
-
-def _as_number(x):
-    return x.value if isinstance(x, Approx) else x
+from .scalars import approx_eq
 
 
 def _normalize_scalar(x):
@@ -99,7 +95,7 @@ class Matrix:
         return sum(self.rows[i][i] for i in range(self.dim))
 
     def max_abs(self):
-        return max((abs(float(_as_number(x))) for r in self.rows for x in r), default=0.0)
+        return max((abs(float(x)) for r in self.rows for x in r), default=0.0)
 
     def equal(self, other):
         """Exact comparison when both operands are exact, tolerance otherwise."""
@@ -108,7 +104,7 @@ class Matrix:
             return all(a == b for r, s in zip(self.rows, other.rows) for a, b in zip(r, s))
         scale = max(1.0, self.max_abs(), other.max_abs())
         return all(
-            approx_eq(float(_as_number(a)) / scale, float(_as_number(b)) / scale)
+            approx_eq(float(a) / scale, float(b) / scale)
             for r, s in zip(self.rows, other.rows)
             for a, b in zip(r, s)
         )
@@ -225,8 +221,6 @@ def matrix_to_json(m: Matrix):
     from .scalars import rational_to_str
 
     def enc(x):
-        if isinstance(x, Approx):
-            return x.value
         if isinstance(x, float):
             return x
         return rational_to_str(Fraction(x))

@@ -206,11 +206,6 @@ def parents(mu: Partition, params: HeckeParams):
     return [lam for _, lam in found]
 
 
-def complementary_position(row: int, col: int, params: HeckeParams):
-    """The unique other slot a P-box can occupy: rows and columns reflected."""
-    return (params.p + params.q + 1 - row, params.a + params.b + 1 - col)
-
-
 @dataclass(frozen=True)
 class Tableau:
     """A chain of partitions T^(0) ... T^(k), each adding one box."""
@@ -249,10 +244,6 @@ class Tableau:
                 return (r, a)
         raise InvariantViolation("adjacent shapes identical")
 
-    def fillings(self):
-        """Map (row, col) -> label of the skew filling end/start."""
-        return {self.box(i): i for i in range(1, self.k + 1)}
-
 
 def _contains(outer, inner):
     return all(inner[i] <= (outer[i] if i < len(outer) else 0) for i in range(len(inner)))
@@ -266,11 +257,6 @@ def shifted_content(t: Tableau, i: int, params: HeckeParams) -> Fraction:
         return gamma_rect(t.start, params) - params.shift
     r, c = t.box(i)
     return Fraction(content(r, c)) - params.shift
-
-
-def shifted_content_list(t: Tableau, params: HeckeParams):
-    """(c_T(0), ..., c_T(k))."""
-    return tuple(shifted_content(t, i, params) for i in range(t.k + 1))
 
 
 def content_key(t: Tableau, params: HeckeParams):
@@ -363,12 +349,8 @@ def from_content_list(clist, lam: Partition, params: HeckeParams) -> Tableau:
     return Tableau(tuple(reversed(shapes)))
 
 
-def row_tableau(t: Tableau) -> Tableau:
-    """The tableau filling end/start left to right, top to bottom."""
-    return row_tableau_of(t.start, t.end)
-
-
 def row_tableau_of(start: Partition, end: Partition) -> Tableau:
+    """The tableau filling end/start left to right, top to bottom."""
     skew = sorted(
         (box for box in boxes(end) if not has_box(start, box)),
         key=lambda rc: (rc[0], rc[1]),

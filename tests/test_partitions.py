@@ -23,9 +23,8 @@ from tbh.partitions import (
     is_in_P,
     lex_max_parent_in,
     parents,
-    row_tableau,
+    row_tableau_of,
     shifted_content,
-    shifted_content_list,
     t_lambda,
     tableaux_to,
     weyl_dim,
@@ -239,16 +238,19 @@ def test_apply_s0_examples():
 @given(small_params, st.integers(0, 2))
 @settings(max_examples=25, deadline=None)
 def test_moves_are_involutive_and_swap_contents(params, k):
+    def contents(t):
+        return tuple(shifted_content(t, i, params) for i in range(t.k + 1))
+
     for lam in sorted(enum_Pk(params, k), reverse=True)[:4]:
         for t in tableaux_to(lam, k, params):
-            base = shifted_content_list(t, params)
+            base = contents(t)
             for i in range(1, k):
                 s = apply_si(t, i, params)
                 if s is None:
                     assert abs(base[i + 1] - base[i]) == 1
                     continue
                 assert apply_si(s, i, params) == t
-                swapped = shifted_content_list(s, params)
+                swapped = contents(s)
                 assert swapped[i] == base[i + 1] and swapped[i + 1] == base[i]
                 others = [j for j in range(k + 1) if j not in (i, i + 1)]
                 assert all(swapped[j] == base[j] for j in others)
@@ -258,7 +260,7 @@ def test_moves_are_involutive_and_swap_contents(params, k):
                     assert base[1] in params.critical_shifted_contents()
                 else:
                     assert apply_s0(s0, params) == t
-                    flipped = shifted_content_list(s0, params)
+                    flipped = contents(s0)
                     assert flipped[1] == -base[1]
                     assert flipped[2:] == base[2:]
 
@@ -287,7 +289,8 @@ def test_row_tableau_idempotent():
     params = HeckeParams(2, 2, 2, 2)
     for lam in sorted(enum_Pk(params, 2), reverse=True)[:3]:
         for t in tableaux_to(lam, 2, params):
-            assert row_tableau(row_tableau(t)) == row_tableau(t)
+            row = row_tableau_of(t.start, t.end)
+            assert row_tableau_of(row.start, row.end) == row
 
 
 def test_worked_example_row_and_distinguished():
@@ -303,9 +306,12 @@ def test_worked_example_row_and_distinguished():
             (7, 4, 4, 3, 3),
         )
     )
-    assert t.fillings() == {(4, 3): 1, (5, 2): 2, (1, 6): 3, (1, 7): 4, (5, 3): 5}
-    rt = row_tableau(t)
-    assert rt.fillings() == {(1, 6): 1, (1, 7): 2, (4, 3): 3, (5, 2): 4, (5, 3): 5}
+    def filling(t):
+        return {t.box(i): i for i in range(1, t.k + 1)}
+
+    assert filling(t) == {(4, 3): 1, (5, 2): 2, (1, 6): 3, (1, 7): 4, (5, 3): 5}
+    rt = row_tableau_of(t.start, t.end)
+    assert filling(rt) == {(1, 6): 1, (1, 7): 2, (4, 3): 3, (5, 2): 4, (5, 3): 5}
     dist = t_lambda((7, 4, 4, 3, 3), params, 5)
     assert dist.start == (6, 4, 4, 2)
     assert lex_max_parent_in((7, 4, 4, 3, 3), params) == (6, 4, 4, 2)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from tbh.errors import NegativeRadicand
 from tbh.scalars import (
-    Approx,
     approx_eq,
     rational_from_str,
     rational_to_str,
@@ -45,10 +44,11 @@ def test_multiplication_round_trips(a, b):
 
 
 def test_sqrt_examples():
-    assert sqrt_checked(Fraction(9, 4)).value == 1.5
-    assert sqrt_checked(0).value == 0.0
+    assert sqrt_checked(Fraction(9, 4)) == 1.5
+    assert sqrt_checked(0) == 0.0
     root = sqrt_checked(Fraction(3, 4))
-    assert abs(root.value**2 - 0.75) < 1e-12
+    assert isinstance(root, float)
+    assert abs(root**2 - 0.75) < 1e-12
 
 
 def test_sqrt_negative_raises():
@@ -59,24 +59,7 @@ def test_sqrt_negative_raises():
 @given(st.fractions(min_value=0, max_denominator=10**6))
 def test_sqrt_squares_back(x):
     root = sqrt_checked(x)
-    assert approx_eq(root.value * root.value, float(x))
-
-
-def test_approx_equality_is_tolerant_and_symmetric():
-    a = Approx(1.0)
-    b = Approx(1.0 + 1e-13)
-    assert a == b and b == a
-    assert Approx(1.0) != Approx(1.001)
-    assert Approx(0.5) == Fraction(1, 2)
-
-
-def test_approx_arithmetic_stays_approx():
-    x = Approx(2.0)
-    assert isinstance(x + 1, Approx)
-    assert isinstance(1 - x, Approx)
-    assert (x * Fraction(1, 2)).value == 1.0
-    assert (-x).value == -2.0
-    assert (3 / x).value == 1.5
+    assert approx_eq(root * root, float(x))
 
 
 def test_serialization_round_trip():

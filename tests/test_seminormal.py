@@ -23,8 +23,8 @@ from tbh.partitions import (
     Tableau,
     apply_move,
     enum_Pk,
+    row_tableau_of,
     shifted_content,
-    shifted_content_list,
     tableaux_to,
 )
 
@@ -384,18 +384,39 @@ def test_simplicity_certificates_across_grid():
                 )
 
 
+def _replay(table, ti, moves):
+    """Run a move word (applied left to right) through the entry table.
+
+    Every step must land on a basis tableau with a nonzero squared
+    off-diagonal entry; returns the index reached.
+    """
+    cur = ti
+    for mv in moves:
+        nxt = table.neighbor_s[cur][mv]
+        assert nxt is not None
+        sq = table.offdiag_x_sq[cur] if mv == 0 else table.offdiag_t_sq[(cur, mv)]
+        assert sq != 0
+        cur = nxt
+    return cur
+
+
 def test_simplicity_small_example():
     module = sn.build_module((2, 1), P1111, 1)
     cert = sn.check_simplicity(module)
-    assert shifted_content_list(module.basis[0], P1111)[1:] == (-1,)
-    assert shifted_content_list(module.basis[1], P1111)[1:] == (1,)
+    assert module.table.contents[0][1:] == (-1,)
+    assert module.table.contents[1][1:] == (1,)
     assert cert.witnesses[1] == (0,)  # s_0 connects the pair
 
 
 def test_worked_example_witness_word_verbatim():
     # Start (5,4,4,2,1), end (7,4,4,3,3) with rectangles (4^3), (2^2):
-    # the walk reads s2 s1 s0 s2 s3 s1 s2 right to left.
+    # the paper's walk reads s2 s1 s0 s2 s3 s1 s2 right to left.  It is a
+    # live path of the move graph from T to the distinguished tableau.
     params = HeckeParams(4, 2, 3, 2)
+    module = sn.build_module((7, 4, 4, 3, 3), params, 5)
+    cert = sn.check_simplicity(module)
+    assert cert.target.start == (6, 4, 4, 2)
+    table = module.table
     t = Tableau(
         (
             (5, 4, 4, 2, 1),
@@ -406,21 +427,31 @@ def test_worked_example_witness_word_verbatim():
             (7, 4, 4, 3, 3),
         )
     )
-    moves, target = sn.connect_to_distinguished(t, params)
-    assert moves == (2, 1, 3, 2, 0, 1, 2)  # application order
+    moves = (2, 1, 3, 2, 0, 1, 2)  # application order
     assert tuple(reversed(moves)) == (2, 1, 0, 2, 3, 1, 2)  # written form
-    assert target.start == (6, 4, 4, 2)
-    row_moves, _ = sn.row_word(t, params)
-    assert row_moves == (2, 1, 3, 2)
+    ti = table.basis.index(t)
+    assert table.basis[_replay(table, ti, moves)] == cert.target
+    # The first four moves straighten T to its row filling.
+    assert table.basis[_replay(table, ti, moves[:4])] == row_tableau_of(t.start, t.end)
 
 
 def test_connectivity_reaches_common_target():
-    params = HeckeParams(2, 2, 2, 2)
-    for k in range(3):
-        for lam in sorted(enum_Pk(params, k), reverse=True):
-            tabs = tableaux_to(lam, k, params)
-            targets = {sn.connect_to_distinguished(t, params)[1] for t in tabs}
-            assert len(targets) == 1
+    # Every witness of every module in GRID replays to cert.target.  The
+    # stall tableau is a hard case: its mirror slot carries label 2, which
+    # s_1 cannot bubble down, so straightening then firing s_0 stalls.
+    stall = Tableau(((4, 3, 1), (5, 3, 1), (5, 4, 1)))
+    seen_stall = False
+    for abpq, kmax in GRID:
+        params = HeckeParams(*abpq)
+        for k in range(kmax + 1):
+            for lam in sorted(enum_Pk(params, k), reverse=True):
+                module = sn.build_module(lam, params, k)
+                cert = sn.check_simplicity(module)
+                table = module.table
+                for ti, moves in cert.witnesses.items():
+                    assert table.basis[_replay(table, ti, moves)] == cert.target
+                seen_stall |= stall in table.basis
+    assert seen_stall
 
 
 def test_module_json_dump():
@@ -434,19 +465,6 @@ def test_module_json_dump():
     assert abs(x["rows"][0][1] - 0.8660254037844386) < 1e-15
     w = doc["matrices"]["w1"]
     assert w["rows"][0] == ["-1/1", "0/1"]  # exact diagonals stay rational
-
-
-def test_greedy_walk_stall_is_covered():
-    # The literal row-then-move walk stalls here (the mirror slot holds
-    # label 2); the witness must still exist and check out.
-    params = HeckeParams(2, 2, 2, 2)
-    t = Tableau(((4, 3, 1), (5, 3, 1), (5, 4, 1)))
-    moves, target = sn.connect_to_distinguished(t, params)
-    cur = t
-    for mv in moves:
-        cur = apply_move(cur, mv, params)
-        assert cur is not None
-    assert cur == target
 
 
 def _module_2222_k3():
@@ -471,24 +489,22 @@ def test_content_collision_fails_distinctness():
 
 @pytest.mark.parametrize("zeroed", ["x1", "t"])
 def test_zeroed_witness_entry_fails_connectivity(zeroed):
+    # Zero every squared entry of one kind.  The s_i never change T^(0) and
+    # s_0 never changes T^(1..k), so either cut disconnects the move graph.
+    # (One zeroed edge is not a failure while another live path exists.)
     module = _module_2222_k3()
-    table = module.table
-    # The first witness step that uses the chosen kind of move.
-    steps = []
-    for ti, moves in sn.check_simplicity(module).witnesses.items():
-        cur = ti
-        for mv in moves:
-            steps.append((cur, mv))
-            cur = table.neighbor_s[cur][mv]
-    cur, mv = next((cur, mv) for cur, mv in steps if (mv == 0) == (zeroed == "x1"))
-    if mv == 0:
-        table = dataclasses.replace(table, offdiag_x_sq={**table.offdiag_x_sq, cur: Fraction(0)})
-    else:
-        table = dataclasses.replace(
-            table, offdiag_t_sq={**table.offdiag_t_sq, (cur, mv): Fraction(0)}
-        )
-    with pytest.raises(ConnectivityFailure, match="zero entry"):
+    field = "offdiag_x_sq" if zeroed == "x1" else "offdiag_t_sq"
+    entries = getattr(module.table, field)
+    table = dataclasses.replace(module.table, **{field: dict.fromkeys(entries, Fraction(0))})
+    with pytest.raises(ConnectivityFailure, match="unreached"):
         sn.check_simplicity(dataclasses.replace(module, table=table))
+
+
+def test_distinguished_tableau_outside_basis_fails_connectivity(monkeypatch):
+    module = _module_2222_k3()
+    monkeypatch.setattr(sn, "t_lambda", lambda lam, params, k: Tableau(((2,), (2, 1))))
+    with pytest.raises(ConnectivityFailure, match="not a basis tableau"):
+        sn.check_simplicity(module)
 
 
 # --- the rational gauge -------------------------------------------------------------
@@ -553,11 +569,3 @@ def test_rational_gauge_relations_are_exact(a, b, p, q, k, data):
         results = sn.check_full_relations(module, catalog=catalog)
         assert results and all(r.passed and r.exact for r in results)
     assert sn.quadratic_deviation(module) == (0, 0)
-
-
-def test_row_word_rejects_target_with_equal_fillings(monkeypatch):
-    # Same added box and label, different start: the walk has no box to fix.
-    t = Tableau(((1,), (1, 1)))
-    monkeypatch.setattr(sn, "row_tableau", lambda _: Tableau(((2,), (2, 1))))
-    with pytest.raises(ConnectivityFailure):
-        sn.row_word(t, P1111)
