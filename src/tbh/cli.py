@@ -168,7 +168,10 @@ def cmd_oracle(args) -> int:
         rows.append((stage, message))
 
     total = oracle.check_dimension_bookkeeping()
-    passed("dimension bookkeeping", f"carrier dim {total}")
+    passed(
+        "dimension bookkeeping",
+        f"carrier dim {total}, largest weight space {oracle.carrier.largest_weight_space}",
+    )
     oracle.check_commutant()
     passed("commutant", "all generator images commute with gl_n")
     oracle.check_transport()

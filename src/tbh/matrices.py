@@ -284,3 +284,41 @@ def rank_exact(rows) -> int:
         if row_idx == len(work):
             break
     return rank
+
+
+def rank_of_columns(columns) -> int:
+    """Exact rank of a matrix given as sparse columns ({row: entry} dicts).
+
+    Union-find joins two columns whenever they share a nonzero row.  After
+    permuting rows and columns the matrix is block diagonal in these
+    components, so its rank is the sum of the block ranks; each block goes
+    to ``rank_exact`` as dense rows over its own row support, and
+    ``rank_exact`` never sees more than one block.  Row keys may be any
+    hashable values.  On the oracle's shifted z_i images the blocks lie
+    inside gl_n weight spaces, since the z_i commute with every E_jj, but
+    nothing here relies on that.
+    """
+    parent = list(range(len(columns)))
+
+    def find(j):
+        while parent[j] != j:
+            parent[j] = parent[parent[j]]
+            j = parent[j]
+        return j
+
+    first_column = {}  # row -> the first column with a nonzero entry there
+    for j, col in enumerate(columns):
+        for r, v in col.items():
+            if v:
+                root, other = find(j), find(first_column.setdefault(r, j))
+                if root != other:
+                    parent[other] = root
+    blocks = {}
+    for j, col in enumerate(columns):
+        if any(col.values()):
+            blocks.setdefault(find(j), []).append(col)
+    rank = 0
+    for block in blocks.values():
+        rows = dict.fromkeys(r for col in block for r in col)
+        rank += rank_exact([[col.get(r, 0) for col in block] for r in rows])
+    return rank

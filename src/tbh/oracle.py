@@ -16,13 +16,21 @@ same word evaluator as the relations.  Relations that only hold on U are
 checked on the sparse inclusion columns J; identities that hold
 ambient-wide (commutant, factor-difference identity, twist shifts) are
 checked on all ambient columns.  Both are exact comparisons of sparse
-column lists.  Spectral multiplicities come from exact fraction-free rank
-computations; no numerical eigensolver is involved.
+column lists.  Spectral and isotypic multiplicities come from exact ranks
+computed one connected block at a time (``matrices.rank_of_columns``):
+the fraction-free ``rank_exact`` only ever sees one block, never the whole
+module, and no numerical eigensolver is involved.
+
+Two caps bound the work.  ``MAX_CARRIER_DIM`` bounds the ambient carrier,
+on which the commutant, transport and twist stages build their operators.
+``MAX_BLOCK_DIM`` bounds the largest gl_n weight space of the ambient
+carrier, which contains every rank block: the z_i commute with every E_jj.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,12 +45,13 @@ from .errors import (
     RelationFailure,
     SpectrumMismatch,
 )
-from .matrices import SparseOperator, rank_exact
+from .matrices import SparseOperator, rank_of_columns
 from .params import HeckeParams
 from .partitions import as_partition, enum_Pk, shifted_content, tableaux_to, weyl_dim
 
 MAX_RECT_BOXES = 6
 MAX_CARRIER_DIM = 20000
+MAX_BLOCK_DIM = 210
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +109,14 @@ class Carrier:
     @property
     def dim(self):
         return self.n ** self.total_legs
+
+    @property
+    def largest_weight_space(self):
+        """The largest gl_n weight space: the legs split as evenly as possible."""
+        q, r = divmod(self.total_legs, self.n)
+        return math.factorial(self.total_legs) // (
+            math.factorial(q + 1) ** r * math.factorial(q) ** (self.n - r)
+        )
 
     def legs(self, factor):
         if factor == "M":
@@ -404,24 +421,24 @@ def realize_module(lam, n: int) -> HighestWeightRealization:
 # the full oracle
 
 
-def _validate_caps(params: HeckeParams, n: int):
-    if params.p + params.q > n:
-        raise CapExceeded(f"p + q = {params.p + params.q} exceeds n = {n}")
+def _validate_caps(params: HeckeParams, carrier: Carrier):
+    """Refuse a configuration before any operator is built.
+
+    The carrier cap bounds the carrier-wide operators; the block cap bounds
+    the largest rank block, which lies in one weight space.  The carrier
+    cap alone lets (1,1,1,1) n=2 k=12 through: carrier 16,384, but a weight
+    space of 3,432, far past any exact elimination at desk scale.
+    """
+    if params.p + params.q > carrier.n:
+        raise CapExceeded(f"p + q = {params.p + params.q} exceeds n = {carrier.n}")
     if params.a * params.p > MAX_RECT_BOXES or params.b * params.q > MAX_RECT_BOXES:
         raise CapExceeded(f"rectangle size exceeds {MAX_RECT_BOXES} boxes")
-    carrier_dim = n ** (params.a * params.p + params.b * params.q + params.k)
-    if carrier_dim > MAX_CARRIER_DIM:
-        raise CapExceeded(f"carrier dimension {carrier_dim} exceeds {MAX_CARRIER_DIM}")
-
-
-def _dense_rows(columns):
-    """Dense rows of a block of sparse columns, for rank_exact.
-
-    Rows that are zero in every column are left out: they do not change
-    the rank.
-    """
-    support = sorted(set().union(*columns))
-    return [[col.get(r, 0) for col in columns] for r in support]
+    if carrier.dim > MAX_CARRIER_DIM:
+        raise CapExceeded(f"carrier dimension {carrier.dim} exceeds {MAX_CARRIER_DIM}")
+    if carrier.largest_weight_space > MAX_BLOCK_DIM:
+        raise CapExceeded(
+            f"largest weight space {carrier.largest_weight_space} exceeds {MAX_BLOCK_DIM}"
+        )
 
 
 # Factors whose gamma with V factor i opens the x, y and z images.
@@ -434,11 +451,11 @@ class TensorOracle:
     def __init__(self, params: HeckeParams, n: int, c_z=None):
         if params.algebra != "gl":
             raise CapExceeded("matrix-level oracle is implemented for gl only")
-        _validate_caps(params, n)
+        self.carrier = Carrier(n, params.a * params.p, params.b * params.q, params.k)
+        _validate_caps(params, self.carrier)
         self.params = params
         self.n = n
         self.c_z = default_cz(params, n) if c_z is None else Fraction(c_z)
-        self.carrier = Carrier(n, params.a * params.p, params.b * params.q, params.k)
         self._gamma_cache = {}
         self._mod_m = realize_module((params.a,) * params.p, n)
         self._mod_n = realize_module((params.b,) * params.q, n)
@@ -609,7 +626,7 @@ class TensorOracle:
                 raise SpectrumMismatch(f"annihilating polynomial of z_{i} is nonzero")
             for c, mult in sorted(pred.items()):
                 # rank of the restriction as a map out of the submodule
-                rank = rank_exact(_dense_rows(shifted[c].apply(self.inclusion_columns)))
+                rank = rank_of_columns(shifted[c].apply(self.inclusion_columns))
                 if d - rank != mult:
                     raise SpectrumMismatch(
                         f"z_{i} eigenvalue {c}: multiplicity {d - rank}, predicted {mult}"
@@ -628,8 +645,13 @@ class TensorOracle:
         for j in range(self.n):
             weight_op = elementary_action(self.carrier, j, j, legs)
             ops.append(self._sum([(1, weight_op)], -get(j + 1)))
-        stacked = [row for op in ops for row in _dense_rows(op.apply(self.inclusion_columns))]
-        return self.module_dim - rank_exact(stacked)
+        images = [op.apply(self.inclusion_columns) for op in ops]
+        # one column per inclusion column, its images stacked under keys (op, row)
+        stacked = [
+            {(o, r): v for o, col in enumerate(cols) for r, v in col.items()}
+            for cols in zip(*images)
+        ]
+        return self.module_dim - rank_of_columns(stacked)
 
     def check_dimension_bookkeeping(self):
         """Sum over shapes of path count x Weyl dimension equals the carrier."""

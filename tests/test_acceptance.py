@@ -49,7 +49,7 @@ PARAM_GRID = [
 
 SEMINORMAL_GRID = [(1, 1, 1, 1), (2, 1, 1, 1), (2, 2, 2, 1), (2, 2, 2, 2)]
 
-ORACLE_CONFIGS = [(2, k) for k in range(4)] + [(3, k) for k in range(3)]
+ORACLE_CONFIGS = [(2, k) for k in range(4)] + [(3, k) for k in range(5)]
 
 
 def report(num, message):

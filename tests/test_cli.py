@@ -107,6 +107,35 @@ def test_oracle_cap_violation(capsys):
     assert "p + q" in err
 
 
+def test_oracle_block_cap_refuses_before_building_operators(monkeypatch, capsys):
+    # carrier 2^14 = 16384 is under the carrier cap; its weight space of 3432 is not
+    from tbh import matrices, oracle
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("an operator was built")
+
+    monkeypatch.setattr(oracle, "realize_module", refuse)
+    monkeypatch.setattr(matrices.SparseOperator, "__init__", refuse)
+    code, _, err = run(
+        ["oracle", "--a", "1", "--b", "1", "--p", "1", "--q", "1", "--k", "12", "--n", "2"],
+        capsys,
+    )
+    assert code == 4
+    assert "largest weight space 3432" in err
+
+
+def test_debug_log_reports_largest_weight_space():
+    proc = subprocess.run(
+        [sys.executable, "-m", "tbh.cli", "oracle",
+         "--a", "1", "--b", "1", "--p", "1", "--q", "1", "--k", "1", "--n", "2"],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin:/usr/local/bin", "TBH_LOG": "debug"},
+    )
+    assert proc.returncode == 0
+    assert "oracle stage dimension bookkeeping: carrier dim 8, largest weight space 3" in proc.stderr
+
+
 def test_oracle_k0(capsys):
     code, out, _ = run(
         ["oracle", "--a", "1", "--b", "1", "--p", "1", "--q", "1", "--k", "0", "--n", "2"],

@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tbh.errors import DimensionMismatch
-from tbh.matrices import Matrix, charpoly2, rank_exact
+from tbh.matrices import Matrix, charpoly2, rank_exact, rank_of_columns
 from tbh.scalars import sqrt_checked
 
 
@@ -110,3 +112,53 @@ def test_rank_exact_fraction_rows():
     assert rank_exact(rows) == 2
     rows = [[Fraction(1, 2), 1], [Fraction(1, 4), Fraction(1, 2)]]
     assert rank_exact(rows) == 1
+
+
+@st.composite
+def block_sparse_columns(draw):
+    """Sparse columns of a block-diagonal matrix of low-rank blocks, shuffled.
+
+    Each block is a product of random integer factors, so it is often rank
+    deficient; columns may be scaled by Fractions, carry explicit zeros, or
+    be empty, and row keys may be tuples.
+    """
+    entries = st.integers(-3, 3)
+    fractions, tuple_keys, explicit_zeros = (draw(st.booleans()) for _ in range(3))
+    columns = []
+    nrows_total = 0
+    for _ in range(draw(st.integers(0, 4))):
+        nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        r = draw(st.integers(1, min(nrows, ncols)))
+        a = draw(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=nrows, max_size=nrows))
+        b = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=r, max_size=r))
+        for j in range(ncols):
+            scale = Fraction(1, draw(st.integers(1, 5))) if fractions else 1
+            col = {}
+            for i in range(nrows):
+                v = sum(a[i][t] * b[t][j] for t in range(r)) * scale
+                if v or explicit_zeros:
+                    col[nrows_total + i] = v
+            columns.append(col)
+        nrows_total += nrows
+    columns += [{}] * draw(st.integers(0, 2))
+    relabel = draw(st.permutations(range(nrows_total)))
+    key = (lambda i: (relabel[i] % 2, relabel[i])) if tuple_keys else (lambda i: relabel[i])
+    order = draw(st.permutations(range(len(columns))))
+    return [{key(i): v for i, v in columns[j].items()} for j in order]
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_sparse_columns())
+def test_rank_of_columns_matches_rank_exact(columns):
+    rows = list(dict.fromkeys(r for col in columns for r in col))
+    dense = [[col.get(r, 0) for col in columns] for r in rows]
+    assert rank_of_columns(columns) == rank_exact(dense)
+
+
+def test_rank_of_columns_examples():
+    assert rank_of_columns([]) == 0
+    assert rank_of_columns([{}, {0: 0}]) == 0
+    # two proportional columns share row "a": one block of rank 1
+    assert rank_of_columns([{"a": 2, "b": 4}, {}, {"a": 1, "b": 2}]) == 1
+    # disjoint supports: two blocks of rank 1
+    assert rank_of_columns([{(0, 1): Fraction(1, 2)}, {(1, 0): 3}]) == 2

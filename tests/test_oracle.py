@@ -4,9 +4,12 @@ from fractions import Fraction
 import pytest
 
 from tbh import algebra as al
+from tbh import matrices
 from tbh.errors import CapExceeded, CommutantFailure, HeightExceeded, RelationFailure, SpectrumMismatch
 from tbh.matrices import Matrix, SparseOperator, apply_to_columns, rank_exact
 from tbh.oracle import (
+    MAX_BLOCK_DIM,
+    MAX_CARRIER_DIM,
     Carrier,
     TensorOracle,
     casimir_constant_gl,
@@ -345,6 +348,21 @@ def test_caps():
         TensorOracle(HeckeParams(4, 4, 2, 2, 0), 4)  # rectangle too big
     with pytest.raises(CapExceeded):
         TensorOracle(HeckeParams(1, 1, 1, 1, 2, algebra="sl"), 3)
+    # carrier 8^5 = 32768 over the carrier cap; its weight spaces are only 120
+    assert Carrier(8, 1, 1, 3).largest_weight_space == 120 <= MAX_BLOCK_DIM
+    with pytest.raises(CapExceeded, match="carrier dimension 32768"):
+        TensorOracle(HeckeParams(1, 1, 1, 1, 3), 8)
+    # carrier 2^14 = 16384 passes the carrier cap; a weight space of C(14, 7) does not
+    assert Carrier(2, 1, 1, 12).dim <= MAX_CARRIER_DIM
+    with pytest.raises(CapExceeded, match="largest weight space 3432"):
+        TensorOracle(HeckeParams(1, 1, 1, 1, 12), 2)
+
+
+def test_largest_weight_space_is_the_even_multinomial():
+    # 5, 6 and 7 legs at n = 3: 5!/(2!2!1!), 6!/(2!2!2!), 7!/(3!2!2!)
+    assert [Carrier(3, 1, 1, k).largest_weight_space for k in (3, 4, 5)] == [30, 90, 210]
+    assert Carrier(2, 1, 1, 0).largest_weight_space == 2
+    assert Carrier(3, 0, 0, 0).largest_weight_space == 1
 
 
 def test_spectra_mismatch_detection():
@@ -360,6 +378,30 @@ def test_spectra_mismatch_detection():
     bad.predicted_spectra = lambda: skewed
     with pytest.raises(SpectrumMismatch):
         bad.check_spectra()
+
+
+def test_spectra_mismatch_detection_across_blocks(monkeypatch):
+    # Carrier 243: the z_2 eigenspaces for 2 and -1 each span 45 rank blocks.
+    oracle = TensorOracle(HeckeParams(1, 1, 1, 1, 3), 3)
+    skewed = oracle.predicted_spectra()
+    assert (skewed[2][Fraction(2)], skewed[2][Fraction(-1)]) == (90, 45)
+    skewed[2][Fraction(2)] -= 1
+    skewed[2][Fraction(-1)] += 1
+    oracle.predicted_spectra = lambda: skewed
+    blocks = []
+    monkeypatch.setattr(matrices, "rank_exact", lambda rows: blocks.append(rows) or rank_exact(rows))
+    with pytest.raises(SpectrumMismatch, match="z_2 eigenvalue -1: multiplicity 45, predicted 46"):
+        oracle.check_spectra()
+    assert len(blocks) > 45
+
+
+def test_oracle_stages_at_carrier_729_with_a_wider_rectangle():
+    oracle = TensorOracle(HeckeParams(2, 1, 1, 1, 3), 3)
+    assert (oracle.carrier.dim, oracle.module_dim) == (729, 486)
+    assert oracle.check_dimension_bookkeeping() == 486
+    assert all(r.passed for r in oracle.check_transport())
+    report = oracle.check_spectra()
+    assert sum(r["multiplicity"] for r in report) == 4 * 486  # levels 0..3
 
 
 def test_x1_multiplicities_match_seminormal_blocks_b_zero():
