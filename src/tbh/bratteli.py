@@ -21,9 +21,9 @@ from .partitions import (
     as_partition,
     add_box_set,
     content,
-    content_key,
     enum_P,
     gamma_rect,
+    plain_contents,
     weyl_dim,
 )
 from .scalars import rational_from_str, rational_to_str
@@ -143,9 +143,9 @@ def paths_to(diagram: BratteliDiagram, lam, rank: int) -> PathBasis:
                 out.append(chain + (shape,))
         return out
 
-    tabs = [Tableau(chain) for chain in walk(rank, lam)]
-    tabs.sort(key=lambda t: content_key(t, diagram.params))
-    return PathBasis(lam, rank, tuple(tabs))
+    chains = walk(rank, lam)
+    chains.sort(key=plain_contents)
+    return PathBasis(lam, rank, tuple(Tableau(chain) for chain in chains))
 
 
 def _predecessor_table(diagram):

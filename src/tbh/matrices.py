@@ -247,7 +247,9 @@ def rank_exact(rows) -> int:
     work = []
     for row in rows:
         row = list(row)
-        denoms = [x.denominator for x in row if isinstance(x, Fraction)]
+        # Every non-int entry must carry a denominator.  An exact type test:
+        # isinstance(x, Fraction) goes through the numbers ABCs per int cell.
+        denoms = [x.denominator for x in row if type(x) is not int]
         if denoms:
             lcm = 1
             for d in denoms:

@@ -619,14 +619,19 @@ class TensorOracle:
                     f"predicted multiplicities for z_{i} sum to {total}, dim is {d}"
                 )
             shifted = {c: self._sum([(1, op)], -c) for c in pred}
-            cols = self.inclusion_columns
-            for c in sorted(pred):
+            lowest, *rest = sorted(pred)
+            # the image under z_i - lowest starts the annihilating chain and
+            # gives that eigenvalue's rank
+            first = shifted[lowest].apply(self.inclusion_columns)
+            cols = first
+            for c in rest:
                 cols = shifted[c].apply(cols)
             if any(cols):
                 raise SpectrumMismatch(f"annihilating polynomial of z_{i} is nonzero")
             for c, mult in sorted(pred.items()):
                 # rank of the restriction as a map out of the submodule
-                rank = rank_of_columns(shifted[c].apply(self.inclusion_columns))
+                image = first if c == lowest else shifted[c].apply(self.inclusion_columns)
+                rank = rank_of_columns(image)
                 if d - rank != mult:
                     raise SpectrumMismatch(
                         f"z_{i} eigenvalue {c}: multiplicity {d - rank}, predicted {mult}"

@@ -259,9 +259,26 @@ def shifted_content(t: Tableau, i: int, params: HeckeParams) -> Fraction:
     return Fraction(content(r, c)) - params.shift
 
 
-def content_key(t: Tableau, params: HeckeParams):
-    """Sort key for basis order: (c_T(1), ..., c_T(k))."""
-    return tuple(shifted_content(t, i, params) for i in range(1, t.k + 1))
+def added_rows(shapes):
+    """Row of each added box of a chain of shapes T^(0) ... T^(k), i = 1..k."""
+    out = []
+    for prev, cur in zip(shapes, shapes[1:]):
+        row = len(cur)  # a box below every row of prev, unless a row grew
+        for r, (x, y) in enumerate(zip(prev, cur), start=1):
+            if x != y:
+                row = r
+                break
+        out.append(row)
+    return out
+
+
+def plain_contents(shapes):
+    """Integer contents col - row of the added boxes of a chain of shapes.
+
+    Shifted contents are these minus one constant shift, so sorting by
+    them gives the basis order (c_T(1), ..., c_T(k)).
+    """
+    return tuple(cur[r - 1] - r for cur, r in zip(shapes[1:], added_rows(shapes)))
 
 
 def apply_si(t: Tableau, i: int, params: HeckeParams):
@@ -294,11 +311,6 @@ def apply_s0(t: Tableau, params: HeckeParams):
     return Tableau((other[0],) + t.shapes[1:])
 
 
-def apply_move(t: Tableau, i: int, params: HeckeParams):
-    """Dispatch s_0 or s_i."""
-    return apply_s0(t, params) if i == 0 else apply_si(t, i, params)
-
-
 def tableaux_to(lam: Partition, k: int, params: HeckeParams, max_height=None):
     """All tableaux from some member of P to lam in k steps, basis order."""
     lam = as_partition(lam)
@@ -308,9 +320,8 @@ def tableaux_to(lam: Partition, k: int, params: HeckeParams, max_height=None):
     chains = _chains_down(lam, k, params, max_height)
     if not chains:
         raise NotInPk(f"{lam} not in P_{k} for {params}")
-    out = [Tableau(ch) for ch in chains]
-    out.sort(key=lambda t: content_key(t, params))
-    return out
+    chains.sort(key=plain_contents)
+    return [Tableau(ch) for ch in chains]
 
 
 def _chains_down(lam, steps, params, max_height):

@@ -34,12 +34,13 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import algebra
+from . import algebra, partitions
 from .errors import (
     ConnectivityFailure,
     CriterionFailure,
     DistinctnessFailure,
     EntryPole,
+    InvariantViolation,
     NotInPk,
     RelationFailure,
 )
@@ -47,13 +48,16 @@ from .matrices import Matrix, SparseOperator, matrix_to_json
 from .params import HeckeParams
 from .partitions import (
     Tableau,
-    apply_move,
+    added_rows,
     as_partition,
-    shifted_content,
+    gamma_rect,
     t_lambda,
     tableaux_to,
 )
 from .scalars import sqrt_checked
+
+
+_ZERO = Fraction(0)
 
 
 def _constants(params):
@@ -128,34 +132,89 @@ class EntryTable:
 
 
 def entry_table(lam, params: HeckeParams, k: int) -> EntryTable:
+    """Contents, s_i neighbors and entries of the basis, reading each tableau once.
+
+    A tableau is its chain of shapes; the added boxes are read off
+    consecutive shapes as (row, integer content col - row).  s_i T puts the
+    (i+1)-th box into T^(i-1) in place of the i-th, and is undefined exactly
+    when the two integer contents differ by +-1; s_0 T puts the other parent
+    of T^(1) in place of T^(0).  Neighbors are found by shape lookup in the
+    basis.  c_T(0) is memoised per starting shape, c_T(i) per integer
+    content, and the entries per content pair (t_i) or per c_T(1) (x_1).
+    """
     lam = as_partition(lam)
     basis = tableaux_to(lam, k, params)
-    index = {t: i for i, t in enumerate(basis)}
-    contents = tuple(
-        tuple(shifted_content(t, i, params) for i in range(k + 1)) for t in basis
-    )
-    neighbor = []
-    for t in basis:
-        row = []
-        for i in range(0, k):
-            s = apply_move(t, i, params)
-            row.append(None if s is None else index[s])
-        neighbor.append(tuple(row))
+    index = {t.shapes: ti for ti, t in enumerate(basis)}
+    shift = params.shift
+    start_content = {}  # T^(0) -> c_T(0)
+    shifted = {}  # integer content -> shifted content
+    parent_lists = {}  # T^(1) -> its parents in P
+    t_entries = {}  # integer content pair -> (diag_t, offdiag_t_sq)
+    x_diag, x_sq = {}, {}  # integer content of the first box -> x_1 entry
 
+    def neighbor_index(shapes):
+        try:
+            return index[shapes]
+        except KeyError:
+            raise InvariantViolation(f"neighbor {shapes} is not a basis tableau") from None
+
+    contents, neighbor = [], []
     dt, ot, dx, ox = {}, {}, {}, {}
-    for ti in range(len(basis)):
-        c = contents[ti]
-        for i in range(1, k):
-            dt[(ti, i)] = diag_t_entry(c[i], c[i + 1])
-            ot[(ti, i)] = (
-                offdiag_t_sq(c[i], c[i + 1]) if neighbor[ti][i] is not None else Fraction(0)
-            )
+    for ti, t in enumerate(basis):
+        shapes = t.shapes
+        rows = added_rows(shapes)
+        plain = [cur[r - 1] - r for cur, r in zip(shapes[1:], rows)]
+        for x in plain:
+            if x not in shifted:
+                shifted[x] = Fraction(x) - shift
+        start = shapes[0]
+        if start not in start_content:
+            start_content[start] = gamma_rect(start, params) - shift
+        contents.append((start_content[start],) + tuple(shifted[x] for x in plain))
+
+        near = [None] * k
         if k >= 1:
-            dx[ti] = diag_x_entry(c[1], params)
-            ox[ti] = (
-                offdiag_x_sq(c[1], params) if neighbor[ti][0] is not None else Fraction(0)
-            )
-    return EntryTable(lam, k, tuple(basis), contents, tuple(neighbor), dt, ot, dx, ox)
+            level1 = shapes[1]
+            if level1 not in parent_lists:
+                parent_lists[level1] = partitions.parents(level1, params)
+            cands = parent_lists[level1]
+            if len(cands) > 1:
+                other = [mu for mu in cands if mu != start]
+                if len(other) != 1:
+                    raise InvariantViolation(f"expected exactly one other parent, got {other}")
+                near[0] = neighbor_index((other[0],) + shapes[1:])
+            x1 = plain[0]
+            if x1 not in x_diag:
+                x_diag[x1] = diag_x_entry(shifted[x1], params)
+            dx[ti] = x_diag[x1]
+            if near[0] is None:
+                ox[ti] = _ZERO
+            else:
+                if x1 not in x_sq:
+                    x_sq[x1] = offdiag_x_sq(shifted[x1], params)
+                ox[ti] = x_sq[x1]
+        for i in range(1, k):
+            pair = (plain[i - 1], plain[i])
+            adjacent = pair[1] - pair[0] in (1, -1)
+            if not adjacent:
+                middle = list(shapes[i - 1])
+                r = rows[i]
+                if r > len(middle):
+                    middle.append(1)
+                else:
+                    middle[r - 1] += 1
+                near[i] = neighbor_index(shapes[:i] + (tuple(middle),) + shapes[i + 1 :])
+            if pair not in t_entries:
+                c_i, c_next = shifted[pair[0]], shifted[pair[1]]
+                t_entries[pair] = (
+                    diag_t_entry(c_i, c_next),
+                    _ZERO if adjacent else offdiag_t_sq(c_i, c_next),
+                )
+            dt[(ti, i)], ot[(ti, i)] = t_entries[pair]
+        neighbor.append(tuple(near))
+    return EntryTable(
+        lam, k, tuple(basis), tuple(contents), tuple(neighbor), dt, ot, dx, ox
+    )
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tbh.bratteli import build_diagram, paths_to
 from tbh.errors import NotInP, NotInPk
 from tbh.params import HeckeParams
 from tbh.partitions import (
@@ -272,6 +273,22 @@ def test_content_list_reconstruction(params, k):
         for t in tableaux_to(lam, k, params):
             clist = [shifted_content(t, i, params) for i in range(1, k + 1)]
             assert from_content_list(clist, lam, params) == t
+
+
+@pytest.mark.parametrize(
+    "abpq,k", [((1, 1, 1, 1), 3), ((1, 2, 2, 1), 3), ((2, 2, 2, 2), 4), ((4, 2, 3, 2), 2)]
+)
+def test_basis_order_is_shifted_content_order(abpq, k):
+    # Both enumerations sort by integer contents; the basis order is the
+    # order of the shifted content lists (c_T(1), ..., c_T(k)).
+    params = HeckeParams(*abpq)
+    diagram = build_diagram(params.with_k(k))
+    for lam in sorted(enum_Pk(params, k), reverse=True):
+        tabs = tableaux_to(lam, k, params)
+        key = lambda t: [shifted_content(t, i, params) for i in range(1, k + 1)]
+        assert tabs == sorted(tabs, key=key)
+        assert len({tuple(key(t)) for t in tabs}) == len(tabs)
+        assert list(paths_to(diagram, lam, k + 1).paths) == tabs
 
 
 def test_tableaux_to_errors():

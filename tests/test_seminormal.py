@@ -14,6 +14,7 @@ from tbh.errors import (
     CriterionFailure,
     DistinctnessFailure,
     EntryPole,
+    InvariantViolation,
     NotInPk,
     RelationFailure,
 )
@@ -21,7 +22,8 @@ from tbh.matrices import Matrix, SparseOperator, charpoly2
 from tbh.params import HeckeParams
 from tbh.partitions import (
     Tableau,
-    apply_move,
+    apply_s0,
+    apply_si,
     enum_Pk,
     row_tableau_of,
     shifted_content,
@@ -114,6 +116,66 @@ def test_entry_table_rejects_wrong_weight():
         sn.entry_table((4,), P1111, 1)
 
 
+# (1,2,2,1) and (2,3,2,1) have B = 0, where c_T(1) = 0 is critical.
+REFERENCE_GRID = [
+    ((1, 1, 1, 1), 3),
+    ((2, 1, 2, 1), 3),
+    ((1, 2, 2, 1), 3),
+    ((2, 3, 2, 1), 3),
+    ((2, 2, 2, 2), 4),
+]
+
+
+@pytest.mark.parametrize("abpq,kmax", REFERENCE_GRID)
+def test_entry_table_matches_tableau_level_definitions(abpq, kmax):
+    # The table reads integer contents off the shapes and finds neighbors
+    # by shape lookup; rebuild it from shifted_content, apply_si, apply_s0
+    # and the entry functions, tableau by tableau.
+    params = HeckeParams(*abpq)
+    for k in range(kmax + 1):
+        for lam in sorted(enum_Pk(params, k), reverse=True):
+            table = sn.entry_table(lam, params, k)
+            basis = table.basis
+            index = {t: ti for ti, t in enumerate(basis)}
+            contents = tuple(
+                tuple(shifted_content(t, i, params) for i in range(k + 1)) for t in basis
+            )
+            neighbor = []
+            for t in basis:
+                moved = [apply_s0(t, params)] if k else []
+                moved += [apply_si(t, i, params) for i in range(1, k)]
+                neighbor.append(tuple(None if s is None else index[s] for s in moved))
+            dt, ot, dx, ox = {}, {}, {}, {}
+            for ti, c in enumerate(contents):
+                for i in range(1, k):
+                    dt[(ti, i)] = sn.diag_t_entry(c[i], c[i + 1])
+                    live = neighbor[ti][i] is not None
+                    ot[(ti, i)] = sn.offdiag_t_sq(c[i], c[i + 1]) if live else 0
+                if k:
+                    dx[ti] = sn.diag_x_entry(c[1], params)
+                    live = neighbor[ti][0] is not None
+                    ox[ti] = sn.offdiag_x_sq(c[1], params) if live else 0
+            reference = sn.EntryTable(
+                lam, k, basis, contents, tuple(neighbor), dt, ot, dx, ox
+            )
+            assert table == reference
+
+
+@pytest.mark.parametrize("mv", [0, 1])
+def test_entry_table_neighbor_outside_basis_raises(monkeypatch, mv):
+    # Drop a tableau that is the s_mv neighbor of another: looking it up fails.
+    params = HeckeParams(2, 2, 2, 2)
+    lam, k = (5, 3, 2, 1), 3
+    full = sn.entry_table(lam, params, k)
+    dropped = next(full.basis[s[mv]] for s in full.neighbor_s if s[mv] is not None)
+    real = sn.tableaux_to
+    monkeypatch.setattr(
+        sn, "tableaux_to", lambda *args: [t for t in real(*args) if t != dropped]
+    )
+    with pytest.raises(InvariantViolation, match="not a basis tableau"):
+        sn.entry_table(lam, params, k)
+
+
 # --- module construction ------------------------------------------------------
 
 
@@ -178,7 +240,7 @@ def test_three_step_content_pattern():
             for moves, pattern in expect.items():
                 cur = t
                 for mv in moves:
-                    cur = apply_move(cur, mv, params)
+                    cur = apply_si(cur, mv, params)
                     if cur is None:
                         break
                 if cur is None:
@@ -210,7 +272,7 @@ def test_four_step_content_pattern():
             for moves, pattern in expect.items():
                 cur = t
                 for mv in moves:
-                    cur = apply_move(cur, mv, params)
+                    cur = apply_s0(cur, params) if mv == 0 else apply_si(cur, mv, params)
                     if cur is None:
                         break
                 if cur is None:
