@@ -2,8 +2,8 @@
 
 Subpackages by responsibility:
 
-* :mod:`tbh.scalars`, :mod:`tbh.matrices`: exact rational and tolerance
-  float arithmetic, dense matrices, column-sparse exact operators.
+* :mod:`tbh.scalars`, :mod:`tbh.matrices`: "p/q" serialization of
+  rationals, column-sparse exact operators, exact ranks, dense matrices.
 * :mod:`tbh.params`, :mod:`tbh.partitions`: rectangle parameters,
   partitions, contents, tableaux and their moves.
 * :mod:`tbh.bratteli`: the ranked diagram of the centralizer tower.

@@ -19,10 +19,9 @@ from .partitions import (
     Partition,
     Tableau,
     as_partition,
-    add_box_set,
     content,
-    enum_P,
     gamma_rect,
+    levels_Pk,
     plain_contents,
     weyl_dim,
 )
@@ -44,26 +43,12 @@ class BratteliDiagram:
     def num_ranks(self):
         return len(self.levels)
 
-    def rank_of_size(self, rank):
-        return len(self.levels[rank])
-
     def vertex_index(self, rank, lam):
         lam = as_partition(lam)
         try:
             return self.levels[rank].index(lam)
         except ValueError:
             raise VertexNotFound(f"{lam} not at rank {rank}") from None
-
-    # Two indexings coexist: diagram rank r >= 1 carries P_{r-1}, and a
-    # tableau with i added boxes ends at rank i + 1.  These helpers name
-    # the conversion so callers never hand-roll the off-by-one.
-    def vertices_for_level(self, i):
-        """The set P_i, living at diagram rank i + 1."""
-        return self.levels[i + 1]
-
-    @staticmethod
-    def rank_for_boxes(i):
-        return i + 1
 
     def __eq__(self, other):
         if not isinstance(other, BratteliDiagram):
@@ -79,32 +64,17 @@ class BratteliDiagram:
 
 
 def build_diagram(params: HeckeParams, max_height=None) -> BratteliDiagram:
+    steps, last = levels_Pk(params, params.k, max_height)
     root = as_partition((params.a,) * params.p)
-    levels = [(root,)]
-    level_sets = [enum_P(params)]
-    if max_height is not None:
-        level_sets[0] = {lam for lam in level_sets[0] if len(lam) <= max_height}
-    for _ in range(params.k):
-        nxt = set()
-        for lam in level_sets[-1]:
-            nxt |= add_box_set(lam, max_height)
-        level_sets.append(nxt)
-    levels += [_vertex_order(s) for s in level_sets]
-    levels = tuple(levels)
+    levels = ((root,),) + tuple(_vertex_order(level) for level in steps + [last])
 
-    edges = []
-    first = tuple(
-        (0, idx, gamma_rect(lam, params)) for idx, lam in enumerate(levels[1])
-    )
-    edges.append(first)
-    for rank in range(1, len(levels) - 1):
-        src_level, dst_level = levels[rank], levels[rank + 1]
+    edges = [tuple((0, idx, gamma_rect(lam, params)) for idx, lam in enumerate(levels[1]))]
+    for successors, src_level, dst_level in zip(steps, levels[1:], levels[2:]):
         dst_index = {lam: i for i, lam in enumerate(dst_level)}
         rank_edges = []
         for si, lam in enumerate(src_level):
-            for mu in sorted(add_box_set(lam, max_height), reverse=True):
-                label = Fraction(_added_content(lam, mu))
-                rank_edges.append((si, dst_index[mu], label))
+            for mu in sorted(successors[lam], reverse=True):
+                rank_edges.append((si, dst_index[mu], Fraction(_added_content(lam, mu))))
         edges.append(tuple(rank_edges))
     return BratteliDiagram(params, max_height, levels, tuple(edges))
 

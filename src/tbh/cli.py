@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 internal failure, 2 argument validation,
 3 requested shape not in P_k, 4 oracle cap violation.  Rationals print as
-"p/q"; floats print with 12 significant digits.  TBH_LOG=debug logs one
+"p/q"; every printed and dumped number is exact.  TBH_LOG=debug logs one
 line per verified module and one per oracle stage to stderr.
 """
 
@@ -34,8 +34,6 @@ EXIT_CAP = 4
 def _fmt(value):
     if isinstance(value, Fraction):
         return rational_to_str(value)
-    if isinstance(value, float):
-        return f"{value:.12g}"
     return str(value)
 
 

@@ -5,14 +5,6 @@ class TbhError(Exception):
     """Base class for all package errors."""
 
 
-class NegativeRadicand(TbhError):
-    """Square root of a negative rational was requested.
-
-    The seminormal construction guarantees nonnegative radicands, so this
-    always indicates an upstream bug rather than bad user input.
-    """
-
-
 class DimensionMismatch(TbhError):
     """Matrix operands have incompatible dimensions."""
 

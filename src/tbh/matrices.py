@@ -1,4 +1,4 @@
-"""Column-sparse exact operators, and dense matrices for dumps and tests.
+"""Column-sparse exact operators, and dense matrices for tests.
 
 ``SparseOperator`` is the one operator representation of the checks: the
 seminormal modules and the tensor oracle both build their operators as
@@ -6,11 +6,9 @@ SparseOperators, and the word evaluator applies them to lists of sparse
 columns ({row: entry} dicts) without ever forming a product of operators.
 Entries are exact only.
 
-``Matrix`` is a plain tuple-of-tuples with generic arithmetic; it now serves
-only the ``--dump`` output and the tests.  A matrix is *exact* when every
-entry is an int or Fraction; products and sums of exact matrices stay exact,
-and equality of exact matrices is exact.  As soon as a float entry
-appears, comparisons switch to the shared tolerance.
+``Matrix`` is a plain tuple-of-tuples with generic arithmetic and exact
+equality; nothing in the package builds one any more.  The tests use it
+as a dense reference, and the benchmark tracer wraps ``Matrix.__mul__``.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, InexactEntry
-from .scalars import approx_eq
 
 
 def _normalize_scalar(x):
@@ -54,9 +51,6 @@ class Matrix:
         entries = tuple(entries)
         n = len(entries)
         return cls(tuple(tuple(entries[i] if i == j else 0 for j in range(n)) for i in range(n)))
-
-    def is_exact(self):
-        return all(isinstance(x, (int, Fraction)) for r in self.rows for x in r)
 
     def _require_same_dim(self, other):
         if self.dim != other.dim:
@@ -94,20 +88,10 @@ class Matrix:
     def trace(self):
         return sum(self.rows[i][i] for i in range(self.dim))
 
-    def max_abs(self):
-        return max((abs(float(x)) for r in self.rows for x in r), default=0.0)
-
     def equal(self, other):
-        """Exact comparison when both operands are exact, tolerance otherwise."""
+        """Exact entrywise comparison."""
         self._require_same_dim(other)
-        if self.is_exact() and other.is_exact():
-            return all(a == b for r, s in zip(self.rows, other.rows) for a, b in zip(r, s))
-        scale = max(1.0, self.max_abs(), other.max_abs())
-        return all(
-            approx_eq(float(a) / scale, float(b) / scale)
-            for r, s in zip(self.rows, other.rows)
-            for a, b in zip(r, s)
-        )
+        return self.rows == other.rows
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -205,36 +189,6 @@ def as_operator(value) -> SparseOperator:
 
 def identity_columns(n):
     return [{j: 1} for j in range(n)]
-
-
-def charpoly2(m: Matrix):
-    """Coefficients (1, c1, c0) of the characteristic polynomial of a 2x2."""
-    if m.dim != 2:
-        raise DimensionMismatch("charpoly2 needs a 2x2 matrix")
-    tr = m.rows[0][0] + m.rows[1][1]
-    det = m.rows[0][0] * m.rows[1][1] - m.rows[0][1] * m.rows[1][0]
-    return (1, -tr, det)
-
-
-def matrix_to_json(m: Matrix):
-    """Row-major JSON document: rationals as "p/q" strings, floats as doubles."""
-    from .scalars import rational_to_str
-
-    def enc(x):
-        if isinstance(x, float):
-            return x
-        return rational_to_str(Fraction(x))
-
-    return {"dim": m.dim, "rows": [[enc(x) for x in row] for row in m.rows]}
-
-
-def matrix_from_json(doc) -> Matrix:
-    from .scalars import rational_from_str
-
-    def dec(x):
-        return x if isinstance(x, float) else rational_from_str(x)
-
-    return Matrix(tuple(tuple(dec(x) for x in row) for row in doc["rows"]))
 
 
 def rank_exact(rows) -> int:

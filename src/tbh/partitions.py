@@ -147,26 +147,28 @@ def enum_P_size(params: HeckeParams) -> int:
     return comb(min(params.a, params.b) + params.q, params.q)
 
 
-def enum_Pk(params: HeckeParams, i: int, max_height=None):
-    """P_0 = P; P_i = one box added to some member of P_{i-1}."""
+def levels_Pk(params: HeckeParams, i: int, max_height=None):
+    """The level loop P_0 = P, P_{j+1} = one box added to a member of P_j.
+
+    Returns (steps, P_i), where steps[j] maps each member of P_j, j < i,
+    to its set of one-box successors; P_{j+1} is the union of those sets.
+    """
     if i < 0:
         raise ValueError("level must be nonnegative")
     level = enum_P(params)
     if max_height is not None:
         level = {lam for lam in level if len(lam) <= max_height}
+    steps = []
     for _ in range(i):
-        nxt = set()
-        for lam in level:
-            nxt |= add_box_set(lam, max_height)
-        level = nxt
-    return level
+        successors = {lam: add_box_set(lam, max_height) for lam in level}
+        steps.append(successors)
+        level = set().union(*successors.values())
+    return steps, level
 
 
-def is_in_Pk(lam: Partition, params: HeckeParams, k: int, max_height=None) -> bool:
-    lam = as_partition(lam)
-    if sum(lam) != params.weight + k:
-        return False
-    return lam in enum_Pk(params, k, max_height)
+def enum_Pk(params: HeckeParams, i: int, max_height=None):
+    """P_0 = P; P_i = one box added to some member of P_{i-1}."""
+    return levels_Pk(params, i, max_height)[1]
 
 
 def gamma_rect(lam: Partition, params: HeckeParams) -> Fraction:

@@ -24,8 +24,9 @@ form):
 Since d_{s_i T} = -d_T and c_{s_0 T}(1) = -c_T(1), each pair of entries
 multiplies to the squared product above, so everything is exact.  The
 positive-root gauge (both off-diagonals the same nonnegative square root)
-is conjugate to it by a diagonal matrix and survives only in the float
-matrices of ``module_to_json``.
+is conjugate to it by a diagonal matrix.  ``module_to_json`` writes the
+rational-gauge operators and the squared products (the radicands), which
+determine it, so no square root is ever taken here.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import algebra, partitions
 from .errors import (
@@ -44,7 +46,7 @@ from .errors import (
     NotInPk,
     RelationFailure,
 )
-from .matrices import Matrix, SparseOperator, matrix_to_json
+from .matrices import SparseOperator
 from .params import HeckeParams
 from .partitions import (
     Tableau,
@@ -54,7 +56,7 @@ from .partitions import (
     t_lambda,
     tableaux_to,
 )
-from .scalars import sqrt_checked
+from .scalars import rational_to_str
 
 
 _ZERO = Fraction(0)
@@ -232,47 +234,13 @@ class SeminormalModule:
     def dim(self):
         return len(self.table.basis)
 
-    def w_matrix(self, i: int) -> Matrix:
-        return Matrix.diagonal(tuple(c[i] for c in self.table.contents))
-
-    def t_matrix(self, i: int) -> Matrix:
-        n = self.dim
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        mixed = False
-        for ti in range(n):
-            rows[ti][ti] = self.table.diag_t[(ti, i)]
-            si = self.table.neighbor_s[ti][i]
-            if si is not None:
-                rows[ti][si] = sqrt_checked(self.table.offdiag_t_sq[(ti, i)])
-                mixed = True
-        return _homogeneous(rows, mixed)
-
-    def x_matrix(self) -> Matrix:
-        n = self.dim
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        mixed = False
-        for ti in range(n):
-            rows[ti][ti] = self.table.diag_x[ti]
-            s0 = self.table.neighbor_s[ti][0]
-            if s0 is not None:
-                rows[ti][s0] = sqrt_checked(self.table.offdiag_x_sq[ti])
-                mixed = True
-        return _homogeneous(rows, mixed)
-
-    def matrices(self):
-        """Dense positive-root matrices, for ``module_to_json`` only."""
-        out = {(algebra.W, i): self.w_matrix(i) for i in range(self.k + 1)}
-        if self.k >= 1:
-            out[(algebra.X, 1)] = self.x_matrix()
-        for i in range(1, self.k):
-            out[(algebra.T, i)] = self.t_matrix(i)
-        return out
-
+    @cached_property
     def operators(self):
-        """Column-sparse generators in the exact rational gauge.
+        """Column-sparse generators in the exact rational gauge, built once.
 
         Column S holds the diagonal entry at row S and, when the neighbor
-        T = s S exists, the off-diagonal [g]_{T,S} at row T.
+        T = s S exists, the off-diagonal [g]_{T,S} at row T.  Every caller
+        shares the one dict; treat it and its operators as read-only.
         """
         table = self.table
         contents = table.contents
@@ -303,13 +271,6 @@ class SeminormalModule:
         return out
 
 
-def _homogeneous(rows, has_roots):
-    # Matrices carry one scalar kind: all floats once a square root enters.
-    if has_roots:
-        rows = [[float(x) for x in row] for row in rows]
-    return Matrix(rows)
-
-
 def build_module(lam, params: HeckeParams, k: int) -> SeminormalModule:
     lam = as_partition(lam)
     if sum(lam) != params.weight + k:
@@ -318,18 +279,36 @@ def build_module(lam, params: HeckeParams, k: int) -> SeminormalModule:
 
 
 def module_to_json(module: SeminormalModule):
-    """Matrices, basis paths, and content lists of a built module."""
+    """Basis paths, content lists, rational-gauge operators and radicands.
+
+    ``matrices[g]["rows"][r][c]`` is the rational-gauge entry [g]_{r,c} and
+    ``radicands[g][T]`` the squared off-diagonal product [g]_{T,sT}[g]_{sT,T}
+    of x1 and each t_i, "0/1" where s T does not exist; all "p/q" strings.
+    The positive-root matrix has the same diagonal and the nonnegative
+    square root of the radicand at (T, sT).
+    """
+    table = module.table
+    n = module.dim
+    radicands = {}
+    if module.k >= 1:
+        radicands["x1"] = [rational_to_str(table.offdiag_x_sq[ti]) for ti in range(n)]
+    for i in range(1, module.k):
+        radicands[f"t{i}"] = [rational_to_str(table.offdiag_t_sq[(ti, i)]) for ti in range(n)]
     return {
         "lambda": list(module.lam),
         "k": module.k,
         "basis": [[list(shape) for shape in t.shapes] for t in module.basis],
-        "contents": [
-            [str(c) for c in row] for row in module.table.contents
-        ],
+        "contents": [[str(c) for c in row] for row in table.contents],
         "matrices": {
-            f"{kind}{idx}": matrix_to_json(mat)
-            for (kind, idx), mat in sorted(module.matrices().items())
+            f"{kind}{idx}": {
+                "dim": n,
+                "rows": [
+                    [rational_to_str(col.get(r, 0)) for col in op.cols] for r in range(n)
+                ],
+            }
+            for (kind, idx), op in sorted(module.operators.items())
         },
+        "radicands": radicands,
     }
 
 
@@ -468,7 +447,7 @@ def check_full_relations(module: SeminormalModule, catalog=None):
     if catalog is None:
         catalog = algebra.relations_short(params)
     results = algebra.check_relations(
-        catalog, module.operators(), algebra.definitions(params), dim=module.dim
+        catalog, module.operators, algebra.definitions(params), dim=module.dim
     )
     bad = [r for r in results if not r.passed]
     if bad:
@@ -571,7 +550,7 @@ def quadratic_deviation(module: SeminormalModule):
     x1 = algebra.word((algebra.X, 1))
     w1 = algebra.word((algebra.W, 1))
     y1 = algebra.wadd(w1, algebra.wneg(x1), algebra.wconst(params.shift))
-    ops = module.operators()
+    ops = module.operators
 
     def deviation(gen, lo, hi):
         word = algebra.wmul(

@@ -242,8 +242,8 @@ def test_criterion_10_negative_controls():
     # (a) corrupted t diagonal: the braid family must fail
     params = HeckeParams(1, 1, 1, 1, 3)
     module = sn.build_module((3, 2), params, 3)
-    assignment = module.operators()
-    cols = assignment[(al.T, 1)].cols
+    assignment = dict(module.operators)
+    cols = list(assignment[(al.T, 1)].cols)
     cols[0] = {**cols[0], 0: cols[0].get(0, 0) + Fraction(1, 7)}
     assignment[(al.T, 1)] = SparseOperator(cols)
     results = al.check_relations(

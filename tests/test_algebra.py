@@ -189,7 +189,7 @@ def test_check_relations_negative_control():
     # Corrupting a diagonal t entry must break the braid family.
     params = HeckeParams(1, 1, 1, 1, 3)
     module = sn.build_module((3, 2), params, 3)
-    assignment = module.operators()
+    assignment = dict(module.operators)
     assignment[(al.T, 1)] = corrupted(assignment[(al.T, 1)], 0, 0, Fraction(1, 7))
     results = al.check_relations(
         al.relations_short(params), assignment, al.definitions(params)
@@ -203,7 +203,7 @@ def test_check_relations_negative_control():
 
 def module_assignment(module):
     params = module.params.with_k(module.k)
-    return module.operators(), al.definitions(params)
+    return module.operators, al.definitions(params)
 
 
 def test_short_and_consolidated_suites_agree():

@@ -12,7 +12,10 @@ from tbh.bratteli import (
 from tbh.errors import VertexNotFound
 from tbh.params import HeckeParams
 from tbh.partitions import (
+    Tableau,
+    add_box_set,
     content,
+    enum_Pk,
     gamma_rect,
     parents,
     tableaux_to,
@@ -143,6 +146,23 @@ def test_height_truncation():
     params = HeckeParams(1, 1, 1, 1, 1)
     diagram = build_diagram(params, max_height=2)
     assert diagram.levels[2] == ((3,), (2, 1))
+
+
+@pytest.mark.parametrize("max_height", [None, 2, 3])
+def test_levels_and_edges_match_one_box_additions(max_height):
+    params = HeckeParams(2, 1, 2, 1, 3)
+    diagram = build_diagram(params, max_height=max_height)
+    for i in range(params.k + 1):
+        assert set(diagram.levels[i + 1]) == enum_Pk(params, i, max_height)
+    for rank in range(1, diagram.num_ranks - 1):
+        src, dst = diagram.levels[rank], diagram.levels[rank + 1]
+        got = [(src[si], dst[di], label) for si, di, label in diagram.edges[rank]]
+        want = {
+            (lam, mu, content(*Tableau((lam, mu)).box(1)))
+            for lam in src
+            for mu in add_box_set(lam, max_height)
+        }
+        assert len(got) == len(want) and set(got) == want
 
 
 def test_json_round_trip():

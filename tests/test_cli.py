@@ -205,6 +205,10 @@ def test_debug_log_reports_each_verified_module():
     assert "relations=" in proc.stderr and "witnesses=" in proc.stderr
 
 
+def _no_float(text):
+    raise AssertionError(f"JSON float {text} in an exact dump")
+
+
 def test_seminormal_dump(tmp_path, capsys):
     dump = tmp_path / "dumps"
     code, _, _ = run(
@@ -216,9 +220,10 @@ def test_seminormal_dump(tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    doc = json.loads((dump / "lambda_2_1.json").read_text())
+    doc = json.loads((dump / "lambda_2_1.json").read_text(), parse_float=_no_float)
     assert doc["lambda"] == [2, 1]
-    assert "x1" in doc["matrices"]
+    assert doc["matrices"]["x1"] == {"dim": 2, "rows": [["-1/2", "3/2"], ["1/2", "1/2"]]}
+    assert doc["radicands"] == {"x1": ["3/4", "3/4"]}
     assert doc["certificate"]["witnesses"]["1"] == [0]
 
 

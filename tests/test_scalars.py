@@ -4,13 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tbh.errors import NegativeRadicand
-from tbh.scalars import (
-    approx_eq,
-    rational_from_str,
-    rational_to_str,
-    sqrt_checked,
-)
+from tbh.scalars import rational_from_str, rational_to_str
 
 rationals = st.fractions(max_denominator=1000)
 nonzero_rationals = rationals.filter(lambda x: x != 0)
@@ -41,25 +35,6 @@ def test_addition_round_trips(a, b):
 @given(rationals, nonzero_rationals)
 def test_multiplication_round_trips(a, b):
     assert (a * b) / b == a
-
-
-def test_sqrt_examples():
-    assert sqrt_checked(Fraction(9, 4)) == 1.5
-    assert sqrt_checked(0) == 0.0
-    root = sqrt_checked(Fraction(3, 4))
-    assert isinstance(root, float)
-    assert abs(root**2 - 0.75) < 1e-12
-
-
-def test_sqrt_negative_raises():
-    with pytest.raises(NegativeRadicand):
-        sqrt_checked(Fraction(-1, 4))
-
-
-@given(st.fractions(min_value=0, max_denominator=10**6))
-def test_sqrt_squares_back(x):
-    root = sqrt_checked(x)
-    assert approx_eq(root * root, float(x))
 
 
 def test_serialization_round_trip():

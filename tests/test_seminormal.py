@@ -18,7 +18,7 @@ from tbh.errors import (
     NotInPk,
     RelationFailure,
 )
-from tbh.matrices import Matrix, SparseOperator, charpoly2
+from tbh.matrices import SparseOperator, identity_columns
 from tbh.params import HeckeParams
 from tbh.partitions import (
     Tableau,
@@ -181,28 +181,32 @@ def test_entry_table_neighbor_outside_basis_raises(monkeypatch, mv):
 
 def test_build_module_x_matrix_1111():
     module = sn.build_module((2, 1), P1111, 1)
-    x = module.x_matrix()
-    root3over2 = 0.8660254037844386
-    assert x.rows[0][0] == Fraction(-1, 2)
-    assert x.rows[1][1] == Fraction(1, 2)
-    assert abs(x.rows[0][1] - root3over2) < 1e-12
-    assert x.rows[0][1] == x.rows[1][0]
-    one, c1, c0 = charpoly2(x)
-    assert abs(float(c1)) < 1e-12 and abs(float(c0) + 1) < 1e-12  # spectrum {1, -1}
+    x = module.operators[(al.X, 1)]
+    assert x.cols[0][0] == Fraction(-1, 2) and x.cols[1][1] == Fraction(1, 2)
+    assert x.cols[1][0] == Fraction(3, 2) and x.cols[0][1] == Fraction(1, 2)
+    assert x.cols[1][0] * x.cols[0][1] == Fraction(3, 4) == module.table.offdiag_x_sq[0]
+    # x1^2 = 1: the spectrum is {1, -1}, the roots of (x - a)(x + p) at a = p = 1.
+    square = al.evaluate_word(al.word((al.X, 1), (al.X, 1)), module.operators)
+    assert square == identity_columns(2)
+
+
+def test_operators_are_built_once():
+    module = sn.build_module((2, 1), P1111, 1)
+    assert module.operators is module.operators
 
 
 def test_k1_module_has_no_t_generators():
     module = sn.build_module((2, 1), P1111, 1)
-    mats = module.matrices()
-    assert (al.T, 1) not in mats
-    assert set(mats) == {(al.W, 0), (al.W, 1), (al.X, 1)}
-    assert module.w_matrix(1) == Matrix.diagonal((Fraction(-1), Fraction(1)))
+    ops = module.operators
+    assert (al.T, 1) not in ops
+    assert set(ops) == {(al.W, 0), (al.W, 1), (al.X, 1)}
+    assert ops[(al.W, 1)].cols == [{0: -1}, {1: 1}]
 
 
 def test_k0_module_is_w0_only():
     module = sn.build_module((2,), P1111, 0)
     assert module.dim == 1
-    assert set(module.matrices()) == {(al.W, 0)}
+    assert set(module.operators) == {(al.W, 0)}
     sn.check_criteria((2,), P1111, 0)
     cert = sn.check_simplicity(module)
     assert cert.witnesses == {0: ()}
@@ -360,13 +364,13 @@ def _module_with_both_offdiagonals(params, k):
 @pytest.mark.parametrize("gen", [(al.T, 1), (al.X, 1)])
 def test_corrupted_rational_offdiagonal_fails_relations(monkeypatch, gen):
     module = _module_with_both_offdiagonals(HeckeParams(2, 1, 1, 1), 2)
-    ops = module.operators()
+    ops = module.operators
     cols = [dict(c) for c in ops[gen].cols]
     s = next(s for s, col in enumerate(cols) if len(col) == 2)
     t = next(r for r in cols[s] if r != s)
     cols[s][t] += Fraction(1, 3)
     bad = {**ops, gen: SparseOperator(cols)}
-    monkeypatch.setattr(sn.SeminormalModule, "operators", lambda self: dict(bad))
+    monkeypatch.setattr(sn.SeminormalModule, "operators", property(lambda self: dict(bad)))
     with pytest.raises(RelationFailure):
         sn.check_full_relations(module)
 
@@ -385,26 +389,28 @@ def test_t_matrices_are_involutions():
     params = HeckeParams(2, 2, 2, 2, 3)
     lam = sorted(enum_Pk(params, 3), reverse=True)[4]
     module = sn.build_module(lam, params, 3)
-    ident = Matrix.identity(module.dim)
     for i in range(1, 3):
-        t = module.t_matrix(i)
-        assert (t * t).equal(ident)
+        square = al.evaluate_word(al.word((al.T, i), (al.T, i)), module.operators)
+        assert square == identity_columns(module.dim)
 
 
 def test_w_matrices_commute_and_joint_spectrum():
     params = HeckeParams(2, 1, 1, 1, 2)
     for lam in sorted(enum_Pk(params, 2), reverse=True):
         module = sn.build_module(lam, params, 2)
-        ws = [module.w_matrix(i) for i in range(3)]
+        ops = module.operators
+        ws = [(al.W, i) for i in range(3)]
         for a in ws:
             for b in ws:
-                assert (a * b).equal(b * a)
+                ab = al.evaluate_word(al.word(a, b), ops)
+                assert ab == al.evaluate_word(al.word(b, a), ops)
         lists = {
             tuple(c[i] for i in range(3)) for c in module.table.contents
         }
-        joint = {
-            tuple(w.rows[d][d] for w in ws) for d in range(module.dim)
-        }
+        joint = set()
+        for d in range(module.dim):
+            assert all(set(ops[w].cols[d]) <= {d} for w in ws)
+            joint.add(tuple(ops[w].cols[d].get(d, 0) for w in ws))
         assert joint == lists
 
 
@@ -522,11 +528,9 @@ def test_module_json_dump():
     assert doc["lambda"] == [2, 1] and doc["k"] == 1
     assert doc["basis"] == [[[2], [2, 1]], [[1, 1], [2, 1]]]
     assert doc["contents"] == [["1", "-1"], ["-1", "1"]]
-    x = doc["matrices"]["x1"]
-    assert x["rows"][0][0] == -0.5  # float backend: homogeneous doubles
-    assert abs(x["rows"][0][1] - 0.8660254037844386) < 1e-15
-    w = doc["matrices"]["w1"]
-    assert w["rows"][0] == ["-1/1", "0/1"]  # exact diagonals stay rational
+    assert doc["matrices"]["x1"] == {"dim": 2, "rows": [["-1/2", "3/2"], ["1/2", "1/2"]]}
+    assert doc["matrices"]["w1"]["rows"] == [["-1/1", "0/1"], ["0/1", "1/1"]]
+    assert doc["radicands"] == {"x1": ["3/4", "3/4"]}
 
 
 def _module_2222_k3():
@@ -575,17 +579,18 @@ def test_distinguished_tableau_outside_basis_fails_connectivity(monkeypatch):
 SWEEP_K3 = [(1, 1, 1, 1), (2, 1, 1, 1), (2, 2, 2, 1), (2, 2, 2, 2)]
 
 
-def _dumped(doc, gen):
-    kind, idx = gen
-    rows = doc["matrices"][f"{kind}{idx}"]["rows"]
-    return [[x if isinstance(x, float) else float(Fraction(x)) for x in row] for row in rows]
+def _name(gen):
+    return f"{gen[0]}{gen[1]}"
 
 
 def test_dumped_matrices_are_diagonal_conjugates_of_rational_operators():
-    # M = D^-1 R D, with D built along the connectivity witnesses: M_{T,S} =
-    # R_{T,S} D_S / D_T fixes D_T from D_S on every witness step, with
-    # D = 1 at the distinguished tableau.  Every entry of every dumped
-    # matrix, on and off the witness paths, must then match.
+    # Three parts per module: the dumped rows are the rational operator R
+    # exactly; each dumped radicand is R_{T,sT} R_{sT,T} (0 without sT);
+    # and M, with R's diagonal and sqrt(radicand) at (T, sT), is D^-1 R D.
+    # D is built along the connectivity witnesses: M_{T,S} = R_{T,S} D_S /
+    # D_T fixes D_T from D_S on every witness step, with D = 1 at the
+    # distinguished tableau; every entry of M, on and off the witness
+    # paths, must then match.
     checked = 0
     for abpq in SWEEP_K3:
         params = HeckeParams(*abpq)
@@ -593,22 +598,45 @@ def test_dumped_matrices_are_diagonal_conjugates_of_rational_operators():
             for lam in sorted(enum_Pk(params, k), reverse=True):
                 module = sn.build_module(lam, params, k)
                 doc = sn.module_to_json(module)
-                ops = module.operators()
-                dense = {gen: _dumped(doc, gen) for gen in ops}
+                ops = module.operators
+                n = module.dim
                 neighbor = module.table.neighbor_s
+                rational = {}
+                assert set(doc["matrices"]) == {_name(gen) for gen in ops}
+                for gen, op in ops.items():
+                    dumped = doc["matrices"][_name(gen)]
+                    assert dumped["dim"] == n
+                    rows = [[Fraction(x) for x in row] for row in dumped["rows"]]
+                    assert rows == [[op.cols[c].get(r, 0) for c in range(n)] for r in range(n)]
+                    rational[gen] = rows
+                moves = {(al.X, 1): 0, **{(al.T, i): i for i in range(1, k)}}
+                assert set(doc["radicands"]) == {_name(gen) for gen in moves if gen in ops}
+                dense = {}
+                for gen, rows in rational.items():
+                    m = [[float(rows[r][c]) if r == c else 0.0 for c in range(n)] for r in range(n)]
+                    if gen in moves:
+                        radicands = [Fraction(x) for x in doc["radicands"][_name(gen)]]
+                        for t in range(n):
+                            s = neighbor[t][moves[gen]]
+                            if s is None:
+                                assert radicands[t] == 0
+                                continue
+                            assert radicands[t] == rows[t][s] * rows[s][t]
+                            m[t][s] = math.sqrt(radicands[t])
+                    dense[gen] = m
                 scale = {}
-                for ti, moves in sn.check_simplicity(module).witnesses.items():
+                for ti, word in sn.check_simplicity(module).witnesses.items():
                     d, cur = 1.0, ti
-                    for mv in moves:
+                    for mv in word:
                         gen = (al.X, 1) if mv == 0 else (al.T, mv)
                         nxt = neighbor[cur][mv]
-                        d *= ops[gen].cols[nxt][cur] / dense[gen][cur][nxt]
+                        d *= rational[gen][cur][nxt] / dense[gen][cur][nxt]
                         cur = nxt
                     scale[ti] = d
-                for gen, op in ops.items():
-                    for r in range(module.dim):
-                        for c in range(module.dim):
-                            want = op.cols[c].get(r, 0) * scale[c] / scale[r]
+                for gen, rows in rational.items():
+                    for r in range(n):
+                        for c in range(n):
+                            want = rows[r][c] * scale[c] / scale[r]
                             assert math.isclose(dense[gen][r][c], want, rel_tol=1e-12, abs_tol=1e-12)
                 checked += 1
     assert checked == 158

@@ -16,3 +16,26 @@ def test_no_assert_statements_in_package():
     ]
     assert list(SRC.glob("*.py")), f"no sources under {SRC}"
     assert found == []
+
+
+def _names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node, node.attr
+        elif isinstance(node, ast.alias):
+            yield node, node.name
+
+
+def test_no_square_roots_or_tolerances_in_package():
+    # Every check is exact: no square root and no tolerance comparison.
+    banned = {"sqrt", "isclose", "approx_eq"}
+    found = [
+        f"{path.name}:{node.lineno}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node, name in _names(ast.parse(path.read_text(), filename=str(path)))
+        if name in banned
+    ]
+    assert list(SRC.glob("*.py")), f"no sources under {SRC}"
+    assert found == []
