@@ -104,14 +104,20 @@ def paths_to(diagram: BratteliDiagram, lam, rank: int) -> PathBasis:
 
     predecessors = _predecessor_table(diagram)
 
+    memo = {}  # (rank, shape) -> chains from rank 1 up to shape
+
     def walk(r, shape):
-        if r == 1:
-            return [(shape,)]
-        out = []
-        for prev in predecessors[r].get(shape, ()):
-            for chain in walk(r - 1, prev):
-                out.append(chain + (shape,))
-        return out
+        key = (r, shape)
+        if key not in memo:
+            if r == 1:
+                memo[key] = [(shape,)]
+            else:
+                memo[key] = [
+                    chain + (shape,)
+                    for prev in predecessors[r].get(shape, ())
+                    for chain in walk(r - 1, prev)
+                ]
+        return memo[key]
 
     chains = walk(rank, lam)
     chains.sort(key=plain_contents)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import lt
 
 from .errors import IndexOutOfRange, InvariantViolation, NotInP, NotInP1, NotInPk
 from .params import HeckeParams
@@ -25,12 +26,12 @@ Partition = tuple  # weakly decreasing tuple of positive ints
 
 def as_partition(parts) -> Partition:
     """Validate and normalize (trim trailing zeros) a parts sequence."""
-    parts = tuple(int(x) for x in parts)
+    parts = tuple(map(int, parts))
     while parts and parts[-1] == 0:
         parts = parts[:-1]
-    if any(x < 0 for x in parts):
+    if parts and min(parts) < 0:
         raise ValueError(f"negative part in {parts}")
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+    if any(map(lt, parts, parts[1:])):
         raise ValueError(f"parts not weakly decreasing: {parts}")
     return parts
 
@@ -215,11 +216,12 @@ class Tableau:
     shapes: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "shapes", tuple(as_partition(s) for s in self.shapes))
-        for i in range(len(self.shapes) - 1):
-            if sum(self.shapes[i + 1]) != sum(self.shapes[i]) + 1:
+        shapes = tuple(map(as_partition, self.shapes))
+        object.__setattr__(self, "shapes", shapes)
+        for prev, cur in zip(shapes, shapes[1:]):
+            if sum(cur) != sum(prev) + 1:
                 raise ValueError("consecutive shapes must differ by one box")
-            if not _contains(self.shapes[i + 1], self.shapes[i]):
+            if not _contains(cur, prev):
                 raise ValueError("shapes must be nested")
 
     @property
@@ -248,7 +250,8 @@ class Tableau:
 
 
 def _contains(outer, inner):
-    return all(inner[i] <= (outer[i] if i < len(outer) else 0) for i in range(len(inner)))
+    # map stops at the shorter shape, so a taller inner shape is rejected first.
+    return len(inner) <= len(outer) and not any(map(lt, outer, inner))
 
 
 def shifted_content(t: Tableau, i: int, params: HeckeParams) -> Fraction:
@@ -319,23 +322,29 @@ def tableaux_to(lam: Partition, k: int, params: HeckeParams, max_height=None):
     if sum(lam) != params.weight + k or (max_height is not None and len(lam) > max_height):
         raise NotInPk(f"{lam} not in P_{k} for {params}")
 
-    chains = _chains_down(lam, k, params, max_height)
+    chains = _chains_down(lam, k, params, max_height, {})
     if not chains:
         raise NotInPk(f"{lam} not in P_{k} for {params}")
     chains.sort(key=plain_contents)
     return [Tableau(ch) for ch in chains]
 
 
-def _chains_down(lam, steps, params, max_height):
+def _chains_down(lam, steps, params, max_height, memo):
+    """Chains from P up to lam in `steps` boxes; memo maps (shape, steps) to them."""
+    key = (lam, steps)
+    if key in memo:
+        return memo[key]
     if max_height is not None and len(lam) > max_height:
-        return []
-    if steps == 0:
-        return [(lam,)] if is_in_P(lam, params) else []
-    out = []
-    for r, _ in removable_corners(lam):
-        prev = remove_box(lam, r)
-        for ch in _chains_down(prev, steps - 1, params, max_height):
-            out.append(ch + (lam,))
+        out = []
+    elif steps == 0:
+        out = [(lam,)] if is_in_P(lam, params) else []
+    else:
+        out = [
+            ch + (lam,)
+            for r, _ in removable_corners(lam)
+            for ch in _chains_down(remove_box(lam, r), steps - 1, params, max_height, memo)
+        ]
+    memo[key] = out
     return out
 
 

@@ -281,11 +281,13 @@ def build_module(lam, params: HeckeParams, k: int) -> SeminormalModule:
 def module_to_json(module: SeminormalModule):
     """Basis paths, content lists, rational-gauge operators and radicands.
 
-    ``matrices[g]["rows"][r][c]`` is the rational-gauge entry [g]_{r,c} and
-    ``radicands[g][T]`` the squared off-diagonal product [g]_{T,sT}[g]_{sT,T}
-    of x1 and each t_i, "0/1" where s T does not exist; all "p/q" strings.
-    The positive-root matrix has the same diagonal and the nonnegative
-    square root of the radicand at (T, sT).
+    ``matrices[g]["cols"][c]`` maps each row r (a decimal string) with a
+    nonzero rational-gauge entry [g]_{r,c} to that entry, so a generator
+    takes O(nonzeros), not dim^2, strings; ``radicands[g][T]`` is the
+    squared off-diagonal product [g]_{T,sT}[g]_{sT,T} of x1 and each t_i,
+    "0/1" where s T does not exist; all entries are "p/q" strings.  The
+    positive-root matrix has the same diagonal and the nonnegative square
+    root of the radicand at (T, sT).
     """
     table = module.table
     n = module.dim
@@ -302,8 +304,9 @@ def module_to_json(module: SeminormalModule):
         "matrices": {
             f"{kind}{idx}": {
                 "dim": n,
-                "rows": [
-                    [rational_to_str(col.get(r, 0)) for col in op.cols] for r in range(n)
+                "cols": [
+                    {str(r): rational_to_str(v) for r, v in sorted(col.items())}
+                    for col in op.cols
                 ],
             }
             for (kind, idx), op in sorted(module.operators.items())
@@ -335,56 +338,97 @@ def check_criteria(lam, params: HeckeParams, k: int) -> CriteriaReport:
     off-diagonal factor is a nonnegative real, so each chain product is
     the nonnegative square root of its squared chain, and equal squared
     chains give equal chains.
+
+    Each squared entry is read once into an integer numerator and
+    denominator, so two squared chains n1/d1 and n2/d2 are compared by
+    cross-multiplication, n1 * d2 == n2 * d1, with no Fraction built; an
+    undefined move makes its chain 0.  The formula side of items 1, 2, 4
+    and 5 depends only on a few exact values, so it is evaluated once per
+    distinct key: item 1 per (diag_t, c_i, c_{i+1}), item 2 per (diag_x,
+    c_1), item 4 per diag_t and item 5 per c_1.  The keys are the exact
+    values read, so a corrupted entry is a new key and is checked anew.
+    The sign flip of item 1 and the radicand, symmetry and zero-pattern
+    comparisons of items 4 and 5 still run at every tableau.
     """
     table = entry_table(lam, params, k)
     counts = {str(i): 0 for i in range(1, 7)}
     A, B, K = _constants(params)
     a, p = params.a, params.p
+    critical = params.critical_shifted_contents()
+    basis, contents, neighbor = table.basis, table.contents, table.neighbor_s
+    diag_t, t_sq = table.diag_t, table.offdiag_t_sq
+    diag_x, x_sq = table.diag_x, table.offdiag_x_sq
+    n = len(basis)
+
+    # sq_num[ti][mv] / sq_den[ti][mv] is the squared off-diagonal entry of
+    # move mv at tableau ti (mv = 0 is the x_1 move).
+    sq_num, sq_den = [], []
+    if k >= 1:
+        for ti in range(n):
+            row = [x_sq[ti]] + [t_sq[(ti, i)] for i in range(1, k)]
+            sq_num.append([x.numerator for x in row])
+            sq_den.append([x.denominator for x in row])
 
     def chain_sq(ti, moves):
-        """Product of squared off-diagonal entries along a move sequence.
+        """Numerator and denominator of the squared entries along a move sequence.
 
         ``moves`` lists move indices applied left to right (0 stands for
-        the x_1 move).  Returns 0 as soon as a move is undefined, matching
-        the vanishing of the corresponding matrix entry.
+        the x_1 move).  Returns (0, 1) as soon as a move is undefined,
+        matching the vanishing of the corresponding matrix entry.
         """
-        acc = Fraction(1)
+        num = den = 1
         cur = ti
         for mv in moves:
-            nxt = table.neighbor_s[cur][mv]
+            nxt = neighbor[cur][mv]
             if nxt is None:
-                return Fraction(0)
-            acc *= table.offdiag_x_sq[cur] if mv == 0 else table.offdiag_t_sq[(cur, mv)]
+                return 0, 1
+            num *= sq_num[cur][mv]
+            den *= sq_den[cur][mv]
             cur = nxt
-        return acc
+        return num, den
 
-    n = len(table.basis)
+    def chains_agree(ti, left, right):
+        n1, d1 = chain_sq(ti, left)
+        n2, d2 = chain_sq(ti, right)
+        return n1 * d2 == n2 * d1
+
+    passed_1, passed_2 = set(), set()  # keys whose identity already held
+    want_4, want_5 = {}, {}  # diag_t -> 1 - diag_t^2; c_1 -> x radicand formula
     for ti in range(n):
-        c = table.contents[ti]
+        c = contents[ti]
+        near = neighbor[ti]
         # (1) diagonal t entries: value * gap = 1, and sign flip across the move.
         for i in range(1, k):
-            if table.diag_t[(ti, i)] * (c[i + 1] - c[i]) != 1:
-                raise CriterionFailure(1, f"diag t entry at {table.basis[ti]} i={i}")
-            si = table.neighbor_s[ti][i]
-            if si is not None and table.diag_t[(si, i)] != -table.diag_t[(ti, i)]:
+            d = diag_t[(ti, i)]
+            key = (d, c[i], c[i + 1])
+            if key not in passed_1:
+                if d * (c[i + 1] - c[i]) != 1:
+                    raise CriterionFailure(1, f"diag t entry at {basis[ti]} i={i}")
+                passed_1.add(key)
+            si = near[i]
+            if si is not None and diag_t[(si, i)] != -d:
                 raise CriterionFailure(1, f"diag t sign across s_{i}")
             counts["1"] += 1
         # (2) diagonal x entry: 2c * value = (a-p)c + c^2 + K (pole-free form).
         if k >= 1:
-            lhs = 2 * c[1] * table.diag_x[ti]
-            rhs = (a - p) * c[1] + c[1] * c[1] + K
-            if lhs != rhs:
-                raise CriterionFailure(2, f"diag x entry at {table.basis[ti]}")
+            key = (diag_x[ti], c[1])
+            if key not in passed_2:
+                if 2 * c[1] * diag_x[ti] != (a - p) * c[1] + c[1] * c[1] + K:
+                    raise CriterionFailure(2, f"diag x entry at {basis[ti]}")
+                passed_2.add(key)
             counts["2"] += 1
         # (4) involutions: squared off-diagonal = 1 - diag^2, symmetric pair;
         # the zero pattern matches adjacency of consecutive contents.
         for i in range(1, k):
-            si = table.neighbor_s[ti][i]
-            want = 1 - table.diag_t[(ti, i)] ** 2
+            d = diag_t[(ti, i)]
+            if d not in want_4:
+                want_4[d] = 1 - d * d
+            want = want_4[d]
+            si = near[i]
             if si is not None:
-                if table.offdiag_t_sq[(ti, i)] != want:
+                if t_sq[(ti, i)] != want:
                     raise CriterionFailure(4, f"involution radicand at i={i}")
-                if table.offdiag_t_sq[(si, i)] != table.offdiag_t_sq[(ti, i)]:
+                if t_sq[(si, i)] != t_sq[(ti, i)]:
                     raise CriterionFailure(4, f"involution symmetry at i={i}")
                 if want <= 0:
                     raise CriterionFailure(4, f"radicand not positive at i={i}")
@@ -395,21 +439,23 @@ def check_criteria(lam, params: HeckeParams, k: int) -> CriteriaReport:
         # (5) quadratic: four-factor product formula, symmetric, positive;
         # zero exactly at the critical shifted contents.
         if k >= 1:
-            s0 = table.neighbor_s[ti][0]
             cc = c[1]
-            if cc != 0:
-                want = -((cc + A) * (cc - B) * (cc - A) * (cc + B)) / (4 * cc * cc)
-            else:
-                want = Fraction(0)  # c = B = 0 is critical
+            if cc not in want_5:
+                if cc != 0:
+                    want_5[cc] = -((cc + A) * (cc - B) * (cc - A) * (cc + B)) / (4 * cc * cc)
+                else:
+                    want_5[cc] = _ZERO  # c = B = 0 is critical
+            want = want_5[cc]
+            s0 = near[0]
             if s0 is not None:
-                if table.offdiag_x_sq[ti] != want:
-                    raise CriterionFailure(5, f"x radicand at {table.basis[ti]}")
-                if table.offdiag_x_sq[s0] != table.offdiag_x_sq[ti]:
+                if x_sq[ti] != want:
+                    raise CriterionFailure(5, f"x radicand at {basis[ti]}")
+                if x_sq[s0] != x_sq[ti]:
                     raise CriterionFailure(5, "x radicand not symmetric")
                 if want <= 0:
                     raise CriterionFailure(5, "x radicand not positive")
             else:
-                if cc not in params.critical_shifted_contents() or want != 0:
+                if cc not in critical or want != 0:
                     raise CriterionFailure(5, "x zero pattern broken")
             counts["5"] += 1
         # (3) commutation, squared: distant t moves and t against s_0.
@@ -417,20 +463,20 @@ def check_criteria(lam, params: HeckeParams, k: int) -> CriteriaReport:
             for j in range(1, k):
                 if abs(i - j) <= 1:
                     continue
-                if chain_sq(ti, (j, i)) != chain_sq(ti, (i, j)):
+                if not chains_agree(ti, (j, i), (i, j)):
                     raise CriterionFailure(3, f"t{i}/t{j} commutation at {ti}")
                 counts["3"] += 1
             if i > 1:
-                if chain_sq(ti, (0, i)) != chain_sq(ti, (i, 0)):
+                if not chains_agree(ti, (0, i), (i, 0)):
                     raise CriterionFailure(3, f"t{i}/x1 commutation at {ti}")
                 counts["3"] += 1
         # (6) braid relations, squared.
         for i in range(1, k - 1):
-            if chain_sq(ti, (i, i + 1, i)) != chain_sq(ti, (i + 1, i, i + 1)):
+            if not chains_agree(ti, (i, i + 1, i), (i + 1, i, i + 1)):
                 raise CriterionFailure(6, f"t braid at i={i}, basis {ti}")
             counts["6"] += 1
         if k >= 2:
-            if chain_sq(ti, (1, 0, 1, 0)) != chain_sq(ti, (0, 1, 0, 1)):
+            if not chains_agree(ti, (1, 0, 1, 0), (0, 1, 0, 1)):
                 raise CriterionFailure(6, f"x braid at basis {ti}")
             counts["6"] += 1
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from tbh import bratteli, cli, partitions
@@ -222,7 +223,10 @@ def test_seminormal_dump(tmp_path, capsys):
     assert code == 0
     doc = json.loads((dump / "lambda_2_1.json").read_text(), parse_float=_no_float)
     assert doc["lambda"] == [2, 1]
-    assert doc["matrices"]["x1"] == {"dim": 2, "rows": [["-1/2", "3/2"], ["1/2", "1/2"]]}
+    x1 = doc["matrices"]["x1"]
+    assert x1 == {"dim": 2, "cols": [{"0": "-1/2", "1": "1/2"}, {"0": "3/2", "1": "1/2"}]}
+    parsed = [{int(r): Fraction(v) for r, v in col.items()} for col in x1["cols"]]
+    assert parsed == [{0: Fraction(-1, 2), 1: Fraction(1, 2)}, {0: Fraction(3, 2), 1: Fraction(1, 2)}]
     assert doc["radicands"] == {"x1": ["3/4", "3/4"]}
     assert doc["certificate"]["witnesses"]["1"] == [0]
 

@@ -356,3 +356,47 @@ def test_as_partition_validation():
     assert as_partition((3, 1, 0, 0)) == (3, 1)
     with pytest.raises(ValueError):
         as_partition((1, 2))
+
+
+def _as_partition_reference(parts):
+    # The per-element generator form that as_partition replaced.
+    parts = tuple(int(x) for x in parts)
+    while parts and parts[-1] == 0:
+        parts = parts[:-1]
+    if any(x < 0 for x in parts):
+        raise ValueError(f"negative part in {parts}")
+    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+        raise ValueError(f"parts not weakly decreasing: {parts}")
+    return parts
+
+
+def _outcome(fn, parts):
+    try:
+        return ("value", fn(parts))
+    except ValueError as err:
+        return ("error", str(err))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.integers(-3, 6), max_size=7),
+        st.lists(st.integers(0, 6), max_size=7).map(lambda xs: sorted(xs, reverse=True) + [0, 0]),
+        st.lists(st.integers(0, 6), max_size=7).map(sorted),
+    ).map(tuple)
+)
+def test_as_partition_matches_generator_form(parts):
+    # Zeros, negatives and increasing pairs: same value, same error message.
+    assert _outcome(as_partition, parts) == _outcome(_as_partition_reference, parts)
+
+
+def test_tableau_rejects_two_box_step():
+    with pytest.raises(ValueError, match="one box"):
+        Tableau(((2, 1), (3, 2)))
+
+
+def test_tableau_rejects_taller_earlier_shape():
+    # One box more, but (1,1,1) has a third row that (3,1) lacks.
+    with pytest.raises(ValueError, match="nested"):
+        Tableau(((1, 1, 1), (3, 1)))
+    assert Tableau(((2, 1), (3, 1))).shapes == ((2, 1), (3, 1))

@@ -329,6 +329,84 @@ def test_criteria_corrupted_radicand_fails_exactly(monkeypatch):
         sn.check_criteria(lam, params, 3)
 
 
+# Negative controls for check_criteria's shortcuts, on the (2,2,2,2) k=3
+# module of test_criteria_corrupted_radicand_fails_exactly (dim 18).
+K3_LAM = (5, 3, 2, 1)
+K3_PARAMS = HeckeParams(2, 2, 2, 2)
+# The squared chains that items (3) and (6) compare at k = 3.
+K3_CHAINS = [(0, 2), (2, 0), (1, 2, 1), (2, 1, 2), (1, 0, 1, 0), (0, 1, 0, 1)]
+
+
+def _criteria_on(monkeypatch, table):
+    monkeypatch.setattr(sn, "entry_table", lambda *args: table)
+    with pytest.raises(CriterionFailure) as failure:
+        sn.check_criteria(K3_LAM, K3_PARAMS, 3)
+    return failure.value.item
+
+
+def _entry_first_read_by_a_chain(table):
+    """A t-radicand (u, i) that a defined chain at an earlier tableau reads
+    before item (4) reads it, at u or at s_i u."""
+    first = {}  # (u, i) -> earliest tableau whose defined chain reads it
+    for ti in range(len(table.basis)):
+        for moves in K3_CHAINS:
+            cur, read = ti, []
+            for mv in moves:
+                nxt = table.neighbor_s[cur][mv]
+                if nxt is None:
+                    break
+                read.append((cur, mv))
+                cur = nxt
+            else:
+                for key in read:
+                    first.setdefault(key, ti)
+    for (u, i), ti in first.items():
+        if i >= 1 and ti < min(u, table.neighbor_s[u][i]):
+            return u, i
+    raise AssertionError("no t-radicand is read first by a chain")
+
+
+@pytest.mark.parametrize("part", ["numerator", "denominator"])
+def test_chain_comparison_reads_numerator_and_denominator(monkeypatch, part):
+    # Change one part of one squared entry, keeping the other part exact:
+    # n/d -> (n + d)/d or n/(n + d), both already reduced.  The entry is
+    # read by a chain before item (4) sees it, so item (3) or (6) must fail.
+    table = sn.entry_table(K3_LAM, K3_PARAMS, 3)
+    sn.check_criteria(K3_LAM, K3_PARAMS, 3)
+    key = _entry_first_read_by_a_chain(table)
+    num, den = table.offdiag_t_sq[key].numerator, table.offdiag_t_sq[key].denominator
+    bad = Fraction(num + den, den) if part == "numerator" else Fraction(num, num + den)
+    assert (bad.numerator == num) == (part == "denominator")
+    assert (bad.denominator == den) == (part == "numerator")
+    radicands = {**table.offdiag_t_sq, key: bad}
+    item = _criteria_on(monkeypatch, dataclasses.replace(table, offdiag_t_sq=radicands))
+    assert item in (3, 6)
+
+
+def test_memoised_diag_t_identity_rechecks_a_corrupted_entry(monkeypatch):
+    # The last (ti, i) without an s_i neighbour (so no sign check reads it)
+    # whose content pair already passed item (1) at an earlier tableau.
+    table = sn.entry_table(K3_LAM, K3_PARAMS, 3)
+    seen, last = set(), None
+    for ti, c in enumerate(table.contents):
+        for i in range(1, 3):
+            if (c[i], c[i + 1]) in seen and table.neighbor_s[ti][i] is None:
+                last = (ti, i)
+        seen.update((c[i], c[i + 1]) for i in range(1, 3))
+    assert last is not None
+    diag = {**table.diag_t, last: table.diag_t[last] + 1}
+    assert _criteria_on(monkeypatch, dataclasses.replace(table, diag_t=diag)) == 1
+
+
+def test_memoised_diag_x_identity_rechecks_a_corrupted_entry(monkeypatch):
+    # The last tableau whose c_T(1) already passed item (2) earlier.
+    table = sn.entry_table(K3_LAM, K3_PARAMS, 3)
+    firsts = [c[1] for c in table.contents]
+    last = max(ti for ti, c1 in enumerate(firsts) if c1 in firsts[:ti])
+    diag = {**table.diag_x, last: table.diag_x[last] + 1}
+    assert _criteria_on(monkeypatch, dataclasses.replace(table, diag_x=diag)) == 2
+
+
 def test_criteria_example_2_2():
     report = sn.check_criteria((2, 2), P1111, 2)
     assert report.items["2"] == 2  # two basis tableaux
@@ -528,8 +606,11 @@ def test_module_json_dump():
     assert doc["lambda"] == [2, 1] and doc["k"] == 1
     assert doc["basis"] == [[[2], [2, 1]], [[1, 1], [2, 1]]]
     assert doc["contents"] == [["1", "-1"], ["-1", "1"]]
-    assert doc["matrices"]["x1"] == {"dim": 2, "rows": [["-1/2", "3/2"], ["1/2", "1/2"]]}
-    assert doc["matrices"]["w1"]["rows"] == [["-1/1", "0/1"], ["0/1", "1/1"]]
+    assert doc["matrices"]["x1"] == {
+        "dim": 2,
+        "cols": [{"0": "-1/2", "1": "1/2"}, {"0": "3/2", "1": "1/2"}],
+    }
+    assert doc["matrices"]["w1"]["cols"] == [{"0": "-1/1"}, {"1": "1/1"}]
     assert doc["radicands"] == {"x1": ["3/4", "3/4"]}
 
 
@@ -584,7 +665,7 @@ def _name(gen):
 
 
 def test_dumped_matrices_are_diagonal_conjugates_of_rational_operators():
-    # Three parts per module: the dumped rows are the rational operator R
+    # Three parts per module: the dumped columns are the rational operator R
     # exactly; each dumped radicand is R_{T,sT} R_{sT,T} (0 without sT);
     # and M, with R's diagonal and sqrt(radicand) at (T, sT), is D^-1 R D.
     # D is built along the connectivity witnesses: M_{T,S} = R_{T,S} D_S /
@@ -606,9 +687,9 @@ def test_dumped_matrices_are_diagonal_conjugates_of_rational_operators():
                 for gen, op in ops.items():
                     dumped = doc["matrices"][_name(gen)]
                     assert dumped["dim"] == n
-                    rows = [[Fraction(x) for x in row] for row in dumped["rows"]]
-                    assert rows == [[op.cols[c].get(r, 0) for c in range(n)] for r in range(n)]
-                    rational[gen] = rows
+                    cols = [{int(r): Fraction(x) for r, x in col.items()} for col in dumped["cols"]]
+                    assert cols == op.cols and all(0 not in col.values() for col in cols)
+                    rational[gen] = [[cols[c].get(r, 0) for c in range(n)] for r in range(n)]
                 moves = {(al.X, 1): 0, **{(al.T, i): i for i in range(1, k)}}
                 assert set(doc["radicands"]) == {_name(gen) for gen in moves if gen in ops}
                 dense = {}

@@ -1,6 +1,9 @@
 """Source-level guards over the ``tbh`` package."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "tbh"
@@ -39,3 +42,40 @@ def test_no_square_roots_or_tolerances_in_package():
     ]
     assert list(SRC.glob("*.py")), f"no sources under {SRC}"
     assert found == []
+
+
+_CORRUPT_AND_CHECK = """
+import dataclasses, sys
+from tbh import seminormal as sn
+from tbh.errors import CriterionFailure
+from tbh.params import HeckeParams
+
+params, lam = HeckeParams(2, 2, 2, 2), (5, 3, 2, 1)
+table = sn.entry_table(lam, params, 3)
+key = next(key for key, sq in table.offdiag_t_sq.items() if sq)
+radicands = {**table.offdiag_t_sq, key: table.offdiag_t_sq[key] + 1}
+sn.entry_table = lambda *args: dataclasses.replace(table, offdiag_t_sq=radicands)
+try:
+    sn.check_criteria(lam, params, 3)
+except CriterionFailure as failure:
+    print("optimize", sys.flags.optimize, "item", failure.item)
+else:
+    print("optimize", sys.flags.optimize, "passed")
+"""
+
+
+def test_criteria_still_fail_under_python_O():
+    # The assert scan above is static; this runs a corrupted table through
+    # check_criteria in an interpreter that strips asserts.
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _CORRUPT_AND_CHECK],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    words = proc.stdout.split()
+    assert words[:3] == ["optimize", "1", "item"], proc.stdout
+    assert int(words[3]) in range(1, 7)
