@@ -22,11 +22,14 @@ columns, the tensor oracle on the columns of its inclusion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 
-from .errors import DimensionMismatch, UnassignedGenerator
-from .matrices import as_operator, identity_columns
+from .errors import DimensionMismatch, RelationFailure, UnassignedGenerator
+from .matrices import as_operator, identity_columns, integer_columns, rational_columns
 from .params import HeckeParams
 
 # ---------------------------------------------------------------------------
@@ -137,13 +140,17 @@ def _sym_group_relations(k, out):
             )
 
 
-def relations_short(params: HeckeParams) -> list:
-    """Compact presentation over w_0..w_k, x_1, t's with constants filled in."""
+@lru_cache(maxsize=None)
+def relations_short(params: HeckeParams) -> tuple:
+    """Compact presentation over w_0..w_k, x_1, t's with constants filled in.
+
+    Built once per params and shared, so it is a tuple.
+    """
     a, b, p, q, k = params.a, params.b, params.p, params.q, params.k
     K = Fraction(a + p + b + q, 2) * Fraction(a + p - (b + q), 2)
     out = []
     if k == 0:
-        return out
+        return ()
     _sym_group_relations(k, out)
     x1 = word((X, 1))
     if k >= 2:
@@ -228,7 +235,7 @@ def relations_short(params: HeckeParams) -> list:
             ),
         )
     )
-    return out
+    return tuple(out)
 
 
 def relations_consolidated(params: HeckeParams) -> list:
@@ -445,11 +452,13 @@ def transposition_word(i: int, j: int):
     return word(*(ups + [(T, j - 1)] + downs))
 
 
+@lru_cache(maxsize=None)
 def definitions(params: HeckeParams):
     """Definition table expanding derived generators.
 
     The shifted family w_i is the one assigned directly: z_i, x_{i+1},
-    y_i, m_i and transpositions expand recursively down to it.
+    y_i, m_i and transpositions expand recursively down to it.  Built once
+    per params and shared, so it is a read-only mapping.
     """
     k = params.k
     shift = params.shift
@@ -463,25 +472,18 @@ def definitions(params: HeckeParams):
         defs[(Y, i)] = wadd(word((Z, i)), wneg(word((X, i))), word((M, i)))
     for i in range(0, k + 1):
         defs[(Z, i)] = wadd(word((W, i)), wconst(shift))
-    return defs
+    return MappingProxyType(defs)
 
 
 # ---------------------------------------------------------------------------
 # evaluation
 
 
-def evaluate_word(w, assignment, defs=None, columns=None, dim=None):
-    """Apply a formal word to a list of sparse columns, right to left.
+def _prepare(assignment, columns, dim):
+    """Operators, dimension checks and the scaled input block, once per suite.
 
-    ``assignment`` maps generators to operators (anything ``as_operator``
-    accepts); a generator it lacks is replaced by its definition word from
-    ``defs``, applied to the same columns, so no product of operators is
-    ever formed.  ``columns`` are {row: entry} dicts without zero entries
-    over a row space of ``dim``; they default to the identity columns, in which case the result
-    is the word's matrix column by column.  Returns the image columns with
-    zero entries dropped, so two results are equal exactly when the words
-    agree on the columns.  The result may share dicts with the operators
-    and the input columns; treat it as read-only.
+    A block is (integer columns, den): the rational columns are the integer
+    ones divided by the positive int den.
     """
     ops = {g: as_operator(v) for g, v in assignment.items()}
     for g, op in ops.items():
@@ -492,45 +494,93 @@ def evaluate_word(w, assignment, defs=None, columns=None, dim=None):
     if columns is None:
         if dim is None:
             raise DimensionMismatch("identity columns need a dim or an assignment")
-        columns = identity_columns(dim)
+        return ops, (identity_columns(dim), 1)
+    return ops, integer_columns(columns)
 
-    def apply_gen(g, cols):
+
+def _reduced(cols, den):
+    """The canonical block: entries and den divided by their gcd."""
+    if den == 1:
+        return cols, 1
+    g = den
+    for col in cols:
+        if col:
+            g = math.gcd(g, *col.values())
+            if g == 1:
+                return cols, den
+    return [{i: v // g for i, v in col.items()} for col in cols], den // g
+
+
+def _word_evaluator(ops, defs):
+    """apply_word(word, block) -> the word's image of the block, reduced.
+
+    Applying a generator multiplies the denominators; a sum of terms goes
+    over the lcm of coefficient denominator times block den.  Each result
+    is reduced, so nested definitions do not grow the integers and two
+    words agree on the block exactly when their results are equal.
+    """
+
+    def apply_gen(g, block):
         op = ops.get(g)
         if op is not None:
-            return op.apply(cols)
+            cols, den = block
+            return op.apply_num(cols), den * op.den
         if defs and g in defs:
-            return apply_word(defs[g], cols)
+            return apply_word(defs[g], block)
         raise UnassignedGenerator(f"no assignment or definition for {g}")
 
-    def apply_word(wrd, cols):
+    def apply_word(wrd, block):
         # Terms often share trailing factors; each suffix is applied once.
-        images = {(): cols}
-        total = [{} for _ in cols]
+        images = {(): block}
+        terms = []
         for coeff, factors in wrd:
-            cur = cols
+            cur = block
             for pos in range(len(factors) - 1, -1, -1):
                 suffix = factors[pos:]
                 cached = images.get(suffix)
                 if cached is None:
                     cached = images[suffix] = apply_gen(factors[pos], cur)
                 cur = cached
-            if coeff == 1:
-                if len(wrd) == 1:
-                    return cur
-                coeff = None
-            elif coeff.denominator == 1:
-                coeff = coeff.numerator
-            for acc, col in zip(total, cur):
+            terms.append((coeff, cur))
+        if len(terms) == 1 and terms[0][0] == 1:
+            return _reduced(*terms[0][1])
+        den = 1
+        for coeff, (_, d) in terms:
+            den = math.lcm(den, coeff.denominator * d)
+        total = [{} for _ in block[0]]
+        for coeff, (cols, d) in terms:
+            f = coeff.numerator * (den // (coeff.denominator * d))
+            for acc, col in zip(total, cols):
                 for i, v in col.items():
-                    if coeff is not None:
-                        v = coeff * v
+                    if f != 1:
+                        v *= f
                     if i in acc:
                         acc[i] += v
                     else:
                         acc[i] = v
-        return [{i: v for i, v in acc.items() if v} for acc in total]
+        return _reduced([{i: v for i, v in acc.items() if v} for acc in total], den)
 
-    return apply_word(w, columns)
+    return apply_word
+
+
+def evaluate_word(w, assignment, defs=None, columns=None, dim=None):
+    """Apply a formal word to a list of sparse columns, right to left.
+
+    ``assignment`` maps generators to operators (anything ``as_operator``
+    accepts); a generator it lacks is replaced by its definition word from
+    ``defs``, applied to the same columns, so no product of operators is
+    ever formed.  ``columns`` are {row: entry} dicts without zero entries
+    over a row space of ``dim``; they default to the identity columns, in
+    which case the result is the word's matrix column by column.  The
+    evaluation runs on integer numerators over one denominator per block
+    (each operator's ``num`` and ``den``) and divides once at the end.
+    Returns the image columns with zero entries dropped, so two results
+    are equal exactly when the words agree on the columns.  The result may
+    share dicts with the operators and the input columns; treat it as
+    read-only.
+    """
+    ops, block = _prepare(assignment, columns, dim)
+    return rational_columns(*_word_evaluator(ops, defs)(w, block))
 
 
 def _max_deviation(lhs, rhs):
@@ -547,14 +597,30 @@ def _max_deviation(lhs, rhs):
 def check_relations(catalog, assignment, defs=None, columns=None, dim=None):
     """Evaluate both sides of every relation pair on the same columns.
 
-    Every operator is exact, so every comparison is exact; a failing
-    relation reports its largest entrywise deviation as a float.
+    The operators and the input columns are prepared once for the whole
+    catalog.  Both sides are compared as reduced (integer columns, den)
+    pairs, which are equal exactly when the rational images are; only a
+    failing relation is divided out, to report its largest entrywise
+    deviation as a float.
     """
+    ops, block = _prepare(assignment, columns, dim)
+    apply_word = _word_evaluator(ops, defs)
     results = []
     for rel in catalog:
-        lhs = evaluate_word(rel.lhs, assignment, defs, columns, dim)
-        rhs = evaluate_word(rel.rhs, assignment, defs, columns, dim)
+        lhs = apply_word(rel.lhs, block)
+        rhs = apply_word(rel.rhs, block)
         passed = lhs == rhs
-        dev = 0.0 if passed else _max_deviation(lhs, rhs)
+        if passed:
+            dev = 0.0
+        else:
+            dev = _max_deviation(rational_columns(*lhs), rational_columns(*rhs))
         results.append(RelationResult(rel.name, rel.family, passed, dev, True))
+    return results
+
+
+def require_passed(results):
+    """The results, unless a relation failed: then RelationFailure for the first."""
+    for r in results:
+        if not r.passed:
+            raise RelationFailure(r.name, r.max_deviation)
     return results

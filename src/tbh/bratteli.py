@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InvariantViolation, VertexNotFound
 from .params import HeckeParams
@@ -37,7 +36,8 @@ class BratteliDiagram:
     params: HeckeParams
     max_height: object  # int or None
     levels: tuple  # levels[r] = ordered tuple of partitions at rank r
-    edges: tuple  # edges[r] = tuple of (src_idx, dst_idx, label) from rank r to r+1
+    edges: tuple  # edges[r] = tuple of (src_idx, dst_idx, label) from rank r to r+1;
+    # labels are Fraction gamma constants at rank 0 and int contents above
 
     @property
     def num_ranks(self):
@@ -74,7 +74,7 @@ def build_diagram(params: HeckeParams, max_height=None) -> BratteliDiagram:
         rank_edges = []
         for si, lam in enumerate(src_level):
             for mu in sorted(successors[lam], reverse=True):
-                rank_edges.append((si, dst_index[mu], Fraction(_added_content(lam, mu))))
+                rank_edges.append((si, dst_index[mu], _added_content(lam, mu)))
         edges.append(tuple(rank_edges))
     return BratteliDiagram(params, max_height, levels, tuple(edges))
 

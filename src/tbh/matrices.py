@@ -4,7 +4,10 @@
 seminormal modules and the tensor oracle both build their operators as
 SparseOperators, and the word evaluator applies them to lists of sparse
 columns ({row: entry} dicts) without ever forming a product of operators.
-Entries are exact only.
+Entries are exact only.  An operator is stored as integer numerators
+``num`` over one positive denominator ``den``, the lcm of its entry
+denominators; its rational columns ``cols`` are derived from them.  The
+word evaluator runs on ``num`` and ``den``, so it builds no Fraction.
 
 ``Matrix`` is a plain tuple-of-tuples with generic arithmetic and exact
 equality; nothing in the package builds one any more.  The tests use it
@@ -122,16 +125,20 @@ def apply_to_columns(a: Matrix, cols):
 class SparseOperator:
     """A square operator over exact rationals, stored column by column.
 
-    ``cols[j]`` maps row index to the nonzero entry of column j.  Entries
-    must be int or Fraction (integral Fractions are kept as ints); anything
-    else raises InexactEntry, so every comparison downstream is exact.
+    It is built from rational columns, ``cols[j]`` mapping row index to the
+    entry of column j; entries must be int or Fraction, anything else
+    raises InexactEntry, so every comparison downstream is exact.  It
+    stores integer numerators ``num`` (zeros dropped) over one positive
+    denominator ``den``, the lcm of the entry denominators; the rational
+    view ``cols`` is ``num`` itself when ``den`` is 1.
     """
 
-    __slots__ = ("cols",)
+    __slots__ = ("num", "den")
 
     def __init__(self, cols):
         cols = [dict(col) for col in cols]
         n = len(cols)
+        den = 1
         for col in cols:
             for i, v in list(col.items()):
                 if not isinstance(v, (int, Fraction)):
@@ -140,9 +147,18 @@ class SparseOperator:
                     raise DimensionMismatch(f"row {i} outside an operator of dim {n}")
                 if not v:
                     del col[i]
-                elif type(v) is Fraction and v.denominator == 1:
-                    col[i] = v.numerator
-        self.cols = cols
+                elif type(v) is Fraction:
+                    if v.denominator == 1:
+                        col[i] = v.numerator
+                    elif den % v.denominator:
+                        den = math.lcm(den, v.denominator)
+        self.den = den
+        self.num = cols if den == 1 else _scaled(cols, den)
+
+    @property
+    def cols(self):
+        """The rational columns, ``num`` / ``den``, built on each access."""
+        return rational_columns(self.num, self.den)
 
     @classmethod
     def from_matrix(cls, m: Matrix) -> "SparseOperator":
@@ -155,27 +171,63 @@ class SparseOperator:
 
     @property
     def dim(self):
-        return len(self.cols)
+        return len(self.num)
 
     def apply(self, columns):
         """Images of sparse columns, with cancelled entries dropped."""
-        ops = self.cols
-        out = []
-        for col in columns:
-            if len(col) == 1:
-                # One nonzero entry: a scaled operator column, nothing cancels.
-                ((j, v),) = col.items()
-                out.append(ops[j] if v == 1 else {i: a * v for i, a in ops[j].items()})
-                continue
-            acc = {}
-            for j, v in col.items():
-                for i, a in ops[j].items():
-                    if i in acc:
-                        acc[i] += a * v
-                    else:
-                        acc[i] = a * v
-            out.append({i: x for i, x in acc.items() if x})
-        return out
+        return rational_columns(_apply(self.num, columns), self.den)
+
+    def apply_num(self, columns):
+        """``den`` times the images of sparse columns, over the integer ``num``."""
+        return _apply(self.num, columns)
+
+
+def _apply(ops, columns):
+    out = []
+    for col in columns:
+        if len(col) == 1:
+            # One nonzero entry: a scaled operator column, nothing cancels.
+            ((j, v),) = col.items()
+            out.append(ops[j] if v == 1 else {i: a * v for i, a in ops[j].items()})
+            continue
+        acc = {}
+        for j, v in col.items():
+            for i, a in ops[j].items():
+                if i in acc:
+                    acc[i] += a * v
+                else:
+                    acc[i] = a * v
+        out.append({i: x for i, x in acc.items() if x})
+    return out
+
+
+def _scaled(columns, den):
+    return [{i: v.numerator * (den // v.denominator) for i, v in col.items()} for col in columns]
+
+
+def rational_columns(num, den):
+    """Integer columns divided by den; ``num`` itself when den is 1."""
+    if den == 1:
+        return num
+    return [{i: Fraction(v, den) for i, v in col.items()} for col in num]
+
+
+def integer_columns(columns):
+    """(num, den): sparse columns as integer numerators over one denominator.
+
+    ``den`` is the lcm of the entry denominators and ``num`` is ``columns``
+    times ``den``; when every entry is an int, ``num`` is ``columns``
+    itself.  Entries must be int or Fraction, else InexactEntry.
+    """
+    den = 1
+    for col in columns:
+        for v in col.values():
+            if type(v) is not int:
+                if not isinstance(v, (int, Fraction)):
+                    raise InexactEntry(f"column entry {v!r} is not an int or Fraction")
+                if den % v.denominator:
+                    den = math.lcm(den, v.denominator)
+    return (columns if den == 1 else _scaled(columns, den)), den
 
 
 def as_operator(value) -> SparseOperator:

@@ -545,19 +545,15 @@ class TensorOracle:
         params = self.params
         if catalog is None:
             catalog = algebra.relations_short(params)
-        ops = self.phi_images()
-        defs = algebra.definitions(params)
-        results = []
-        for rel in catalog:
-            lhs = self.evaluate_on_inclusion(rel.lhs, ops, defs)
-            rhs = self.evaluate_on_inclusion(rel.rhs, ops, defs)
-            passed = lhs == rhs
-            results.append(
-                algebra.RelationResult(rel.name, rel.family, passed, 0.0 if passed else 1.0, True)
+        return algebra.require_passed(
+            algebra.check_relations(
+                catalog,
+                self.phi_images(),
+                algebra.definitions(params),
+                self.inclusion_columns,
+                self.carrier.dim,
             )
-            if not passed:
-                raise RelationFailure(rel.name, "nonzero")
-        return results
+        )
 
     def check_commutant(self):
         """Generator images commute with every E_ij action, ambient-exact.

@@ -44,7 +44,7 @@ from .errors import (
     EntryPole,
     InvariantViolation,
     NotInPk,
-    RelationFailure,
+    RelationFailure,  # re-exported: check_full_relations raises it
 )
 from .matrices import SparseOperator
 from .params import HeckeParams
@@ -492,13 +492,11 @@ def check_full_relations(module: SeminormalModule, catalog=None):
     params = module.params.with_k(module.k)
     if catalog is None:
         catalog = algebra.relations_short(params)
-    results = algebra.check_relations(
-        catalog, module.operators, algebra.definitions(params), dim=module.dim
+    return algebra.require_passed(
+        algebra.check_relations(
+            catalog, module.operators, algebra.definitions(params), dim=module.dim
+        )
     )
-    bad = [r for r in results if not r.passed]
-    if bad:
-        raise RelationFailure(bad[0].name, bad[0].max_deviation)
-    return results
 
 
 # ---------------------------------------------------------------------------

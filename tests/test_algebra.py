@@ -1,6 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tbh import algebra as al
 from tbh import seminormal as sn
@@ -58,6 +61,22 @@ def test_xw_relation_constants_vanish_for_1111():
         (Fraction(-1), ((al.W, 1), (al.X, 1))),
         (Fraction(1), ((al.W, 1), (al.W, 1))),
     )
+
+
+def test_cached_catalogs_are_immutable():
+    # Both catalogs are built once per params and shared by every caller.
+    params = HeckeParams(2, 1, 1, 1, 3)
+    catalog, defs = al.relations_short(params), al.definitions(params)
+    assert al.relations_short(HeckeParams(2, 1, 1, 1, 3)) is catalog
+    assert al.definitions(params.with_k(3)) is defs
+    with pytest.raises(AttributeError):
+        catalog.append(catalog[0])
+    with pytest.raises(TypeError):
+        catalog[0] = catalog[1]
+    with pytest.raises(TypeError):
+        defs[(al.X, 2)] = al.word((al.T, 1))
+    with pytest.raises(TypeError):
+        del defs[(al.X, 2)]
 
 
 def test_comm_xw_index_range():
@@ -138,6 +157,8 @@ def test_evaluator_rejects_inexact_entries():
         al.evaluate_word(word, {(al.T, 1): [{0: 0.5}]})
     with pytest.raises(InexactEntry):
         al.evaluate_word(word, {(al.T, 1): Matrix([[0.5, 0], [0, 1]])})
+    with pytest.raises(InexactEntry):
+        al.evaluate_word(word, {(al.T, 1): [{0: 1}]}, columns=[{0: 0.5}])
 
 
 def test_evaluator_dense_matrix_agrees_with_sparse():
@@ -147,6 +168,103 @@ def test_evaluator_dense_matrix_agrees_with_sparse():
     image = al.evaluate_word(w, {(al.T, 1): sparse})
     assert al.evaluate_word(w, {(al.T, 1): dense}) == image
     assert image == [{0: 1}, {0: 2, 1: 9}]  # columns of the square
+
+
+def test_operator_keeps_integer_numerators_over_one_denominator():
+    op = SparseOperator([{0: Fraction(1, 2), 1: Fraction(4, 2)}, {1: Fraction(-2, 3)}])
+    assert op.den == 6 and op.num == [{0: 3, 1: 12}, {1: -4}]
+    integral = SparseOperator([{0: Fraction(3, 1)}, {}])
+    assert integral.den == 1 and integral.num is integral.cols == [{0: 3}, {}]
+
+
+def test_rational_input_columns_are_scaled_once():
+    op = SparseOperator([{0: Fraction(1, 2)}, {0: 1, 1: 3}])
+    image = al.evaluate_word(al.word((al.T, 1)), {(al.T, 1): op}, columns=[{1: Fraction(1, 3)}])
+    assert image == [{0: Fraction(1, 3), 1: 1}]
+
+
+def test_check_relations_reads_the_denominator():
+    # t and 2t have the same numerator columns once reduced ({0: 1}), over
+    # the denominators 2 and 1: only the denominator tells them apart.
+    t = SparseOperator([{0: Fraction(1, 2)}])
+    rel = al.RelationPair("t = 2t", "test", al.word((al.T, 1)), al.word((al.T, 1), coeff=2))
+    (result,) = al.check_relations([rel], {(al.T, 1): t})
+    assert not result.passed and result.max_deviation == 0.5
+
+
+# --- property test: integer evaluation against dense products -----------------
+
+_DENOMINATORS = (1, 2, 3, 6, 7)
+_ASSIGNED = [(al.T, 1), (al.T, 2), (al.X, 1)]
+_DEFINED = (al.Y, 1)
+
+
+def _rationals(nonzero=False):
+    nums = st.integers(-6, 6).filter(bool) if nonzero else st.integers(-6, 6)
+    return st.builds(Fraction, nums, st.sampled_from(_DENOMINATORS))
+
+
+def _sparse_operators(n):
+    column = st.dictionaries(st.integers(0, n - 1), _rationals(), max_size=n)
+    return st.lists(column, min_size=n, max_size=n).map(SparseOperator)
+
+
+def _words(gens):
+    term = st.tuples(_rationals(nonzero=True), st.lists(st.sampled_from(gens), max_size=4))
+    return st.lists(term, min_size=1, max_size=3).map(
+        lambda terms: tuple((c, tuple(fs)) for c, fs in terms)
+    )
+
+
+def _dense(op):
+    n = op.dim
+    return Matrix([[op.cols[j].get(i, 0) for j in range(n)] for i in range(n)])
+
+
+def _dense_word(w, mats, n):
+    total = Matrix.diagonal([0] * n)
+    for coeff, factors in w:
+        prod = Matrix.identity(n)
+        for g in factors:
+            prod = prod * mats[g]
+        total = total + coeff * prod
+    return total
+
+
+def _inline(w, defs):
+    """w with every defined generator replaced by its definition word."""
+    terms = []
+    for coeff, factors in w:
+        pieces = [defs[g] if g in defs else al.word(g) for g in factors]
+        terms.append(al.wscale(coeff, al.wmul(*pieces)))
+    return al.wadd(*terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    n=st.sampled_from([3, 4]),
+    definition=_words(_ASSIGNED),
+    w=_words(_ASSIGNED + [_DEFINED]),
+)
+def test_integer_evaluation_matches_dense_products(data, n, definition, w):
+    ops = {g: data.draw(_sparse_operators(n)) for g in _ASSIGNED}
+    defs = {_DEFINED: definition}
+    mats = {g: _dense(op) for g, op in ops.items()}
+    mats[_DEFINED] = _dense_word(definition, mats, n)
+    want = _dense_word(w, mats, n)
+    image = al.evaluate_word(w, ops, defs)
+    assert image == [{i: v for i, v in enumerate(col) if v} for col in zip(*want.rows)]
+
+    # Another word with the same matrix, through other denominators: the
+    # definition inlined, doubled, minus the word itself.
+    twin = al.wadd(al.wscale(2, _inline(w, defs)), al.wneg(w))
+    ops, block = al._prepare(ops, None, None)
+    evaluate = al._word_evaluator(ops, defs)
+    pair = evaluate(w, block)
+    assert evaluate(twin, block) == pair
+    cols, den = pair
+    assert den > 0 and math.gcd(den, *(v for col in cols for v in col.values())) == 1
 
 
 def test_m3_expands_to_transposition_words():

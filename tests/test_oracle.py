@@ -287,6 +287,26 @@ def test_transport_negative_control_gamma_factor():
             assert bad * action == action * bad
 
 
+@pytest.mark.parametrize("part", ["numerator", "denominator"])
+def test_transport_negative_control_integer_t_image(part):
+    # The oracle's generators are integral (den 1, num is cols).  A t_1
+    # image with one numerator raised by one, or with den 2, must fail the
+    # transported relations.
+    oracle = TensorOracle(HeckeParams(1, 1, 1, 1, 2), 2)
+    images = oracle.phi_images()
+    t1 = images[(al.T, 1)]
+    assert t1.den == 1 and t1.num is t1.cols
+    bad = SparseOperator(t1.cols)
+    if part == "numerator":
+        bad.num = [dict(col) for col in t1.num]
+        bad.num[0][0] += 1
+    else:
+        bad.den = 2
+    oracle.phi_images = lambda: {**images, (al.T, 1): bad}
+    with pytest.raises(RelationFailure):
+        oracle.check_transport()
+
+
 def test_twist_shift_and_factor_difference():
     oracle = TensorOracle(HeckeParams(1, 1, 1, 1, 2), 2)
     assert oracle.check_twist_shifts() == 2

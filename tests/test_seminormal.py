@@ -453,6 +453,35 @@ def test_corrupted_rational_offdiagonal_fails_relations(monkeypatch, gen):
         sn.check_full_relations(module)
 
 
+def _integer_corruption(op, part):
+    """A copy of op with one integer numerator raised by one, keeping
+    ``den`` ("numerator"), or with only ``den`` changed ("denominator")."""
+    bad = SparseOperator(op.cols)
+    if part == "numerator":
+        num = [dict(col) for col in op.num]
+        s = next(s for s, col in enumerate(num) if len(col) == 2)
+        t = next(r for r in num[s] if r != s)
+        num[s][t] += 1
+        bad.num = num
+    else:
+        bad.den = op.den + 1
+    return bad
+
+
+@pytest.mark.parametrize("part", ["numerator", "denominator"])
+@pytest.mark.parametrize("gen", [(al.T, 1), (al.X, 1)])
+def test_corrupted_integer_operator_fails_relations(monkeypatch, gen, part):
+    # The relations read the operators' num and den: corrupting either one
+    # alone must fail them.
+    module = _module_with_both_offdiagonals(HeckeParams(2, 1, 1, 1), 2)
+    ops = module.operators
+    assert ops[gen].den > 1
+    bad = {**ops, gen: _integer_corruption(ops[gen], part)}
+    monkeypatch.setattr(sn.SeminormalModule, "operators", property(lambda self: dict(bad)))
+    with pytest.raises(RelationFailure):
+        sn.check_full_relations(module)
+
+
 def test_quadratic_spectra():
     # (x1 - a)(x1 + p) = 0 and (y1 - b)(y1 + q) = 0 on every built module.
     for abpq, kmax in GRID:

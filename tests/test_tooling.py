@@ -79,3 +79,41 @@ def test_criteria_still_fail_under_python_O():
     words = proc.stdout.split()
     assert words[:3] == ["optimize", "1", "item"], proc.stdout
     assert int(words[3]) in range(1, 7)
+
+
+_CORRUPT_RELATIONS = """
+import sys
+from tbh import algebra as al
+from tbh import seminormal as sn
+from tbh.errors import RelationFailure
+from tbh.matrices import SparseOperator
+from tbh.params import HeckeParams
+
+module = sn.build_module((4, 1), HeckeParams(2, 1, 1, 1), 2)
+t1 = module.operators[(al.T, 1)]
+bad = SparseOperator(t1.cols)
+bad.num = [dict(col) for col in t1.num]
+bad.num[0][0] += 1
+module.operators[(al.T, 1)] = bad
+try:
+    sn.check_full_relations(module)
+except RelationFailure as failure:
+    print("optimize", sys.flags.optimize, "relation", failure.name)
+else:
+    print("optimize", sys.flags.optimize, "passed")
+"""
+
+
+def test_relations_still_fail_under_python_O():
+    # One corrupted integer numerator of t_1 must fail the relation suite
+    # in an interpreter that strips asserts.
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _CORRUPT_RELATIONS],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[:3] == ["optimize", "1", "relation"], proc.stdout
