@@ -3,8 +3,9 @@
 
 Seminormal side: entry criteria, relation families, quadratic spectra, and
 simplicity certificates for four rectangle pairs up to k = 3.  Oracle side:
-commutant, relation transport, twist shifts, factor differences, and exact
-spectra for the tensor-space realizations.
+commutant, transport of the Hecke and the braid algebra catalogs, twist
+shifts, factor differences, and exact spectra for the tensor-space
+realizations.
 """
 
 import sys
@@ -13,6 +14,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from tbh import algebra
 from tbh import seminormal as sn
 from tbh.oracle import TensorOracle
 from tbh.params import HeckeParams
@@ -57,11 +59,12 @@ def oracle_sweep():
             oracle.check_dimension_bookkeeping()
             oracle.check_commutant()
             oracle.check_transport()
+            oracle.check_transport(algebra.relations_braid(k))
             oracle.check_spectra()
             oracle.check_twist_shifts()
             if k >= 1:
                 oracle.check_factor_difference()
-            print(f"  {abpq} n={n} k={k}: carrier {oracle.module_dim} ok")
+            print(f"  {abpq} n={n} k={k}: dim U {oracle.module_dim} ok")
     print(f"oracle sweep done in {time.time() - start:.1f} s")
 
 

@@ -5,7 +5,7 @@ Subpackages by responsibility:
 * :mod:`tbh.scalars`, :mod:`tbh.matrices`: "p/q" serialization of
   rationals, column-sparse exact operators, exact ranks, dense matrices.
 * :mod:`tbh.params`, :mod:`tbh.partitions`: rectangle parameters,
-  partitions, contents, tableaux and their moves.
+  partitions, contents, tableaux.
 * :mod:`tbh.bratteli`: the ranked diagram of the centralizer tower.
 * :mod:`tbh.algebra`: relation catalogs as data, sparse word evaluation.
 * :mod:`tbh.seminormal`: explicit matrix modules, entry criteria,

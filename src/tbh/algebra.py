@@ -1,7 +1,7 @@
 """Relation catalogs of the two-boundary braid and Hecke algebras.
 
 Relations are data: formal words in the free algebra over the generator
-alphabet with rational coefficients, paired left/right sides.  Three
+alphabet with rational coefficients, paired left/right sides.  Two
 catalogs are provided:
 
 * ``relations_braid(k)``: the graded braid algebra presentation over
@@ -10,8 +10,9 @@ catalogs are provided:
 * ``relations_short(params)``: the compact Hecke presentation over
   w_0..w_k, x_1, t_{s_1}..t_{s_{k-1}}, with the numeric rectangle
   constants substituted.
-* ``relations_consolidated(params)``: the longer Hecke presentation over
-  x_i, y_i, z_i, t_{s_i}, used as an independent second suite.
+
+The longer Hecke presentation over x_i, y_i, z_i and t_{s_i}, run by the
+tests as an independent second suite, lives in ``tests/reference.py``.
 
 A word is a tuple of (coefficient, factors) terms; a generator is a
 (kind, index) pair.  ``evaluate_word`` applies words to sparse columns,
@@ -236,97 +237,6 @@ def relations_short(params: HeckeParams) -> tuple:
         )
     )
     return tuple(out)
-
-
-def relations_consolidated(params: HeckeParams) -> list:
-    """Longer presentation over x_i, z_i (z_0 included), y_i derived, t's."""
-    a, b, p, q, k = params.a, params.b, params.p, params.q, params.k
-    out = []
-    if k == 0:
-        return out
-    _sym_group_relations(k, out)
-    out.append(
-        RelationPair(
-            f"(x1 - {a})(x1 + {p}) = 0",
-            "x.quadratic",
-            wmul(wadd(word((X, 1)), wconst(-a)), wadd(word((X, 1)), wconst(p))),
-            (),
-        )
-    )
-    out.append(
-        RelationPair(
-            f"(y1 - {b})(y1 + {q}) = 0",
-            "y.quadratic",
-            wmul(wadd(word((Y, 1)), wconst(-b)), wadd(word((Y, 1)), wconst(q))),
-            (),
-        )
-    )
-    for i in range(1, k):
-        for j in list(range(1, k + 1)):
-            if j in (i, i + 1):
-                continue
-            out.append(
-                RelationPair(
-                    f"t{i} x{j} = x{j} t{i}",
-                    "commute.tx",
-                    word((T, i), (X, j)),
-                    word((X, j), (T, i)),
-                )
-            )
-        for j in range(0, k + 1):
-            if j in (i, i + 1):
-                continue
-            out.append(
-                RelationPair(
-                    f"t{i} z{j} = z{j} t{i}",
-                    "commute.tz",
-                    word((T, i), (Z, j)),
-                    word((Z, j), (T, i)),
-                )
-            )
-    for kind, fam in ((X, "commute.xx"), (Y, "commute.yy")):
-        for i in range(1, k + 1):
-            for j in range(i + 1, k + 1):
-                out.append(
-                    RelationPair(
-                        f"{kind}{i} {kind}{j} = {kind}{j} {kind}{i}",
-                        fam,
-                        word((kind, i), (kind, j)),
-                        word((kind, j), (kind, i)),
-                    )
-                )
-    for i in range(0, k + 1):
-        for j in range(i + 1, k + 1):
-            out.append(
-                RelationPair(
-                    f"z{i} z{j} = z{j} z{i}",
-                    "commute.zz",
-                    word((Z, i), (Z, j)),
-                    word((Z, j), (Z, i)),
-                )
-            )
-    for i in range(1, k + 1):
-        for j in range(1, i):
-            out.append(
-                RelationPair(
-                    f"x{j} z{i} = z{i} x{j}",
-                    "commute.xz",
-                    word((X, j), (Z, i)),
-                    word((Z, i), (X, j)),
-                )
-            )
-    for kind, fam in ((X, "twist.xzsum"), (Y, "twist.yzsum")):
-        for i in range(1, k + 1):
-            zsum = wadd(*[word((Z, j)) for j in range(0, i + 1)])
-            out.append(
-                RelationPair(
-                    f"{kind}{i} (z0+..+z{i}) = (z0+..+z{i}) {kind}{i}",
-                    fam,
-                    wmul(word((kind, i)), zsum),
-                    wmul(zsum, word((kind, i))),
-                )
-            )
-    return out
 
 
 def relations_braid(k: int) -> list:

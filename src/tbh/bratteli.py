@@ -22,7 +22,6 @@ from .partitions import (
     gamma_rect,
     levels_Pk,
     plain_contents,
-    weyl_dim,
 )
 from .scalars import rational_from_str, rational_to_str
 
@@ -101,27 +100,24 @@ def paths_to(diagram: BratteliDiagram, lam, rank: int) -> PathBasis:
     if rank < 1 or rank >= diagram.num_ranks:
         raise VertexNotFound(f"rank {rank} out of range")
     diagram.vertex_index(rank, lam)
-
-    predecessors = _predecessor_table(diagram)
-
-    memo = {}  # (rank, shape) -> chains from rank 1 up to shape
-
-    def walk(r, shape):
-        key = (r, shape)
-        if key not in memo:
-            if r == 1:
-                memo[key] = [(shape,)]
-            else:
-                memo[key] = [
-                    chain + (shape,)
-                    for prev in predecessors[r].get(shape, ())
-                    for chain in walk(r - 1, prev)
-                ]
-        return memo[key]
-
-    chains = walk(rank, lam)
+    chains = _walk(_predecessor_table(diagram), rank, lam, {})
     chains.sort(key=plain_contents)
     return PathBasis(lam, rank, tuple(Tableau(chain) for chain in chains))
+
+
+def _walk(predecessors, rank, shape, memo):
+    """Chains from rank 1 up to shape; memo maps (rank, shape) to them."""
+    key = (rank, shape)
+    if key not in memo:
+        if rank == 1:
+            memo[key] = [(shape,)]
+        else:
+            memo[key] = [
+                chain + (shape,)
+                for prev in predecessors[rank].get(shape, ())
+                for chain in _walk(predecessors, rank - 1, prev, memo)
+            ]
+    return memo[key]
 
 
 def _predecessor_table(diagram):
@@ -149,11 +145,6 @@ def dimension_vector(diagram: BratteliDiagram, rank: int):
             nxt[dst] = nxt.get(dst, 0) + counts.get(src, 0)
         counts = nxt
     return counts
-
-
-def carrier_dimension(diagram: BratteliDiagram, rank: int, n: int) -> int:
-    """Sum of path count times gl_n Weyl dimension over the rank's vertices."""
-    return sum(cnt * weyl_dim(lam, n) for lam, cnt in dimension_vector(diagram, rank).items())
 
 
 def to_json(diagram: BratteliDiagram) -> bytes:

@@ -168,7 +168,8 @@ def cmd_oracle(args) -> int:
     total = oracle.check_dimension_bookkeeping()
     passed(
         "dimension bookkeeping",
-        f"carrier dim {total}, largest weight space {oracle.carrier.largest_weight_space}",
+        f"dim U {total} (ambient {oracle.carrier.dim}), "
+        f"largest weight space {oracle.carrier.largest_weight_space}",
     )
     oracle.check_commutant()
     passed("commutant", "all generator images commute with gl_n")
@@ -228,7 +229,7 @@ def build_parser():
     o = subs.add_parser("oracle", help="run the gl_n tensor-space oracle suites")
     _add_rect_args(o)
     o.add_argument("--n", type=int, required=True)
-    o.add_argument("--cz", type=Fraction, default=None)
+    o.add_argument("--cz", type=Fraction, default=Fraction(0))
     o.set_defaults(func=cmd_oracle)
 
     d = subs.add_parser("dims", help="print dimension vectors per rank")

@@ -7,7 +7,6 @@ ambient space, built from leg transpositions:
 
 * gamma acting on factor sets A and B is the sum of leg swaps P_{l,m}
   over l in A, m in B (trace-form dual bases collapse to swaps);
-* the Casimir on a factor is |legs| * n plus twice the internal swaps;
 * the braid/Hecke generator images are gamma sums with the scalar
   constants folded in, so for gl_n the twisted images are integral.
 
@@ -16,8 +15,8 @@ same word evaluator as the relations.  Relations that only hold on U are
 checked on the sparse inclusion columns J; identities that hold
 ambient-wide (commutant, factor-difference identity, twist shifts) are
 checked on all ambient columns.  Both are exact comparisons of sparse
-column lists.  Spectral and isotypic multiplicities come from exact ranks
-computed one connected block at a time (``matrices.rank_of_columns``):
+column lists.  Spectral multiplicities come from exact ranks computed
+one connected block at a time (``matrices.rank_of_columns``):
 the fraction-free ``rank_exact`` only ever sees one block, never the whole
 module, and no numerical eigensolver is involved.
 
@@ -58,35 +57,12 @@ MAX_BLOCK_DIM = 210
 # constants
 
 
-def twist_constants(params: HeckeParams, n: int):
-    """The shift constants making the braid action factor through the quotient."""
-    if params.algebra == "gl":
-        return {"c_x": Fraction(-n, 2), "c_y": Fraction(-n, 2), "d": Fraction(0)}
-    half = Fraction(n, 1) - Fraction(1, n)
-    return {
-        "c_x": Fraction(params.a * params.p, n) - half / 2,
-        "c_y": Fraction(params.b * params.q, n) - half / 2,
-        "d": Fraction(1, n),
-    }
+def twist_constants(n: int):
+    """The shift constants making the braid action factor through the quotient.
 
-
-def default_cz(params: HeckeParams, n: int) -> Fraction:
-    """c_z making z_i eigenvalues equal plain box contents."""
-    if params.algebra == "gl":
-        return Fraction(0)
-    return Fraction(params.a * params.b * params.p * params.q, n)
-
-
-def kappa_V(n: int, algebra_kind: str = "gl") -> Fraction:
-    return Fraction(n) if algebra_kind == "gl" else Fraction(n) - Fraction(1, n)
-
-
-def casimir_constant_gl(lam, n: int) -> int:
-    """<lam, lam + 2 delta> - (n-1)|lam| with delta = (n-1, ..., 1, 0)."""
-    lam = as_partition(lam)
-    get = lambda i: lam[i - 1] if i <= len(lam) else 0
-    inner = sum(get(i) * (get(i) + 2 * (n - i)) for i in range(1, n + 1))
-    return inner - (n - 1) * sum(lam)
+    For gl_n both are -n/2, the same at every strand.
+    """
+    return {"c_x": Fraction(-n, 2), "c_y": Fraction(-n, 2)}
 
 
 # ---------------------------------------------------------------------------
@@ -205,27 +181,6 @@ def elementary_action(carrier: Carrier, i: int, j: int, legs) -> SparseOperator:
                 col[new] = col.get(new, 0) + 1
         cols.append(col)
     return SparseOperator(cols)
-
-
-def kappa_operator(carrier: Carrier, legs) -> SparseOperator:
-    """Casimir on the subfactor spanned by ``legs``: |legs| n + 2 internal swaps."""
-    legs = tuple(legs)
-    swaps = [(2, leg_swap(carrier, la, lb)) for la, lb in itertools.combinations(legs, 2)]
-    return _linear_operator(carrier.dim, swaps, len(legs) * carrier.n)
-
-
-def casimir_leq(carrier: Carrier, factor, j: int) -> SparseOperator:
-    """kappa on the factor together with the first j copies of V.
-
-    Assembled per the iterated coproduct: kappa_X + j kappa_V
-    + 2 (sum_i gamma_{X,i} + sum_{r<s} gamma_{r,s}).
-    """
-    if j > carrier.k:
-        raise FactorOutOfRange(f"only {carrier.k} copies of V")
-    terms = [(1, kappa_operator(carrier, carrier.legs(factor)))]
-    terms += [(2, gamma_pair(carrier, factor, i)) for i in range(1, j + 1)]
-    terms += [(2, gamma_pair(carrier, r, s)) for r, s in itertools.combinations(range(1, j + 1), 2)]
-    return _linear_operator(carrier.dim, terms, j * carrier.n)
 
 
 # ---------------------------------------------------------------------------
@@ -448,14 +403,12 @@ _HEADS = {"x": ("M",), "y": ("N",), "z": ("M", "N")}
 class TensorOracle:
     """Ambient operators, inclusion columns, and the verification suites."""
 
-    def __init__(self, params: HeckeParams, n: int, c_z=None):
-        if params.algebra != "gl":
-            raise CapExceeded("matrix-level oracle is implemented for gl only")
+    def __init__(self, params: HeckeParams, n: int, c_z=0):
         self.carrier = Carrier(n, params.a * params.p, params.b * params.q, params.k)
         _validate_caps(params, self.carrier)
         self.params = params
         self.n = n
-        self.c_z = default_cz(params, n) if c_z is None else Fraction(c_z)
+        self.c_z = Fraction(c_z)
         self._gamma_cache = {}
         self._mod_m = realize_module((params.a,) * params.p, n)
         self._mod_n = realize_module((params.b,) * params.q, n)
@@ -594,7 +547,7 @@ class TensorOracle:
         preds = [dict() for _ in range(k + 1)]
         for lam in sorted(enum_Pk(params, k, max_height=self.n), reverse=True):
             wd = weyl_dim(lam, self.n)
-            for t in tableaux_to(lam, k, params, max_height=self.n):
+            for t in tableaux_to(lam, k, params):
                 for i in range(0, k + 1):
                     c = shifted_content(t, i, params) + params.shift
                     if i == 0:
@@ -635,32 +588,13 @@ class TensorOracle:
                 report.append({"level": i, "eigenvalue": str(c), "multiplicity": mult})
         return report
 
-    def isotypic_multiplicity(self, lam):
-        """Multiplicity of the lam component: highest-weight space dimension."""
-        lam = as_partition(lam)
-        if len(lam) > self.n:
-            return 0
-        legs = tuple(range(self.carrier.total_legs))
-        ops = [elementary_action(self.carrier, i, i + 1, legs) for i in range(self.n - 1)]
-        get = lambda i: lam[i - 1] if i <= len(lam) else 0
-        for j in range(self.n):
-            weight_op = elementary_action(self.carrier, j, j, legs)
-            ops.append(self._sum([(1, weight_op)], -get(j + 1)))
-        images = [op.apply(self.inclusion_columns) for op in ops]
-        # one column per inclusion column, its images stacked under keys (op, row)
-        stacked = [
-            {(o, r): v for o, col in enumerate(cols) for r, v in col.items()}
-            for cols in zip(*images)
-        ]
-        return self.module_dim - rank_of_columns(stacked)
-
     def check_dimension_bookkeeping(self):
-        """Sum over shapes of path count x Weyl dimension equals the carrier."""
+        """Sum over shapes of path count x Weyl dimension equals dim U."""
         diagram = build_diagram(self.params, max_height=self.n)
         dims = dimension_vector(diagram, self.params.k + 1)
         total = sum(cnt * weyl_dim(lam, self.n) for lam, cnt in dims.items())
         if total != self.module_dim:
-            raise SpectrumMismatch(f"dimension count {total} != carrier {self.module_dim}")
+            raise SpectrumMismatch(f"dimension count {total} != dim U {self.module_dim}")
         return total
 
     def check_factor_difference(self):
@@ -702,23 +636,20 @@ class TensorOracle:
     def check_twist_shifts(self):
         """Twisted and untwisted images differ exactly by the scalar shifts.
 
-        Compared at double scale so everything stays integral: the gl
-        shifts are (i-1) d + c = -n/2 for x and y and -n for z.
+        Compared at double scale so everything stays integral: the
+        shifts are c_x = c_y = -n/2 for x and y, c_x + c_y = -n for z.
         """
 
         def shifted_by(twisted, untwisted2, shift):
             doubled = algebra.evaluate_word(*_linear_word([(2, twisted)]))
             return doubled == algebra.evaluate_word(*_linear_word([(1, untwisted2)], 2 * shift))
 
-        consts = twist_constants(self.params, self.n)
+        consts = twist_constants(self.n)
+        shifts = {"x": consts["c_x"], "y": consts["c_y"], "z": consts["c_x"] + consts["c_y"]}
         images = {"x": self.x_image, "y": self.y_image, "z": self.z_image}
         k = self.params.k
         for i in range(1, k + 1):
-            for kind, shift in (
-                ("x", (i - 1) * consts["d"] + consts["c_x"]),
-                ("y", (i - 1) * consts["d"] + consts["c_y"]),
-                ("z", (i - 1) * consts["d"] + consts["c_x"] + consts["c_y"]),
-            ):
+            for kind, shift in shifts.items():
                 if not shifted_by(images[kind](i), self.untwisted_doubled(kind, i), shift):
                     raise RelationFailure(f"{kind} twist shift at {i}", "nonzero")
         if not shifted_by(self.z_image(0), self.untwisted_doubled("z", 0), self.c_z):

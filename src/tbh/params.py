@@ -20,8 +20,6 @@ class HeckeParams:
     p: int
     q: int
     k: int = 0
-    algebra: str = "gl"
-    n: int = 0  # only consulted by the tensor oracle
     normalized: bool = False
 
     def __post_init__(self):
@@ -31,8 +29,6 @@ class HeckeParams:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
         if not isinstance(self.k, int) or self.k < 0:
             raise ValueError(f"k must be a nonnegative integer, got {self.k!r}")
-        if self.algebra not in ("gl", "sl"):
-            raise ValueError(f"algebra must be 'gl' or 'sl', got {self.algebra!r}")
         # Normalize to p >= q, and a >= b when p == q, by swapping rectangles.
         if self.q > self.p or (self.p == self.q and self.b > self.a):
             a, b, p, q = self.b, self.a, self.q, self.p
@@ -53,12 +49,7 @@ class HeckeParams:
         return self.a * self.p + self.b * self.q
 
     def with_k(self, k: int) -> "HeckeParams":
-        return HeckeParams(self.a, self.b, self.p, self.q, k, self.algebra, self.n)
-
-    def critical_contents(self):
-        """Unshifted contents at which an added box has a unique parent."""
-        a, b, p, q = self.a, self.b, self.p, self.q
-        return {-p - q, a - q, a + b, b - p}
+        return HeckeParams(self.a, self.b, self.p, self.q, k)
 
     def critical_shifted_contents(self):
         """Shifted contents (+-(a+p)+-(b+q))/2 where the x_1 off-diagonal dies."""

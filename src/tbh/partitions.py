@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb
+from itertools import combinations_with_replacement
 from operator import lt
 
 from .errors import IndexOutOfRange, InvariantViolation, NotInP, NotInP1, NotInPk
@@ -130,22 +129,10 @@ def enum_P(params: HeckeParams):
 
 def _partitions_in_box(width: int, height: int):
     """All partitions with at most `height` parts, each at most `width`."""
-    results = []
-
-    def rec(prefix, remaining_rows, cap):
-        results.append(tuple(prefix))
-        if remaining_rows == 0:
-            return
-        for part in range(min(cap, width), 0, -1):
-            rec(prefix + [part], remaining_rows - 1, part)
-
-    rec([], height, width)
-    return {as_partition(p) for p in results}
-
-
-def enum_P_size(params: HeckeParams) -> int:
-    """Predicted |P| = binomial(min(a,b)+q, q)."""
-    return comb(min(params.a, params.b) + params.q, params.q)
+    return {
+        as_partition(parts)
+        for parts in combinations_with_replacement(range(width, -1, -1), height)
+    }
 
 
 def levels_Pk(params: HeckeParams, i: int, max_height=None):
@@ -175,21 +162,15 @@ def enum_Pk(params: HeckeParams, i: int, max_height=None):
 def gamma_rect(lam: Partition, params: HeckeParams) -> Fraction:
     """Constant by which the two-factor Casimir half acts on the lam summand.
 
-    gl case: a*b*q + 2 * sum over boxes below row p of (content - shift);
-    the sl case subtracts a*b*p*q/n.
+    a*b*q + 2 * sum over boxes below row p of (content - shift).
     """
     lam = as_partition(lam)
     if not is_in_P(lam, params):
         raise NotInP(f"{lam} not in P for {params}")
     below = [content(r, c) for r, c in boxes(lam) if r > params.p]
-    value = Fraction(params.a * params.b * params.q) + 2 * (
+    return Fraction(params.a * params.b * params.q) + 2 * (
         sum(below) - len(below) * params.shift
     )
-    if params.algebra == "sl":
-        if params.n <= 0:
-            raise ValueError("sl gamma needs params.n")
-        value -= Fraction(params.a * params.b * params.p * params.q, params.n)
-    return value
 
 
 def parents(mu: Partition, params: HeckeParams):
@@ -286,89 +267,34 @@ def plain_contents(shapes):
     return tuple(cur[r - 1] - r for cur, r in zip(shapes[1:], added_rows(shapes)))
 
 
-def apply_si(t: Tableau, i: int, params: HeckeParams):
-    """Swap the order of the i-th and (i+1)-th added boxes; None if adjacent.
-
-    Defined exactly when c_T(i) != c_T(i+1) +- 1, and an involution there.
-    """
-    if not 1 <= i <= t.k - 1:
-        raise IndexOutOfRange(f"s_{i} needs 1 <= i <= k-1 = {t.k - 1}")
-    ci = shifted_content(t, i, params)
-    cj = shifted_content(t, i + 1, params)
-    if cj - ci in (1, -1):
-        return None
-    r, c = t.box(i + 1)
-    middle = add_box(t.shapes[i - 1], r)
-    shapes = t.shapes[:i] + (middle,) + t.shapes[i + 1 :]
-    return Tableau(shapes)
-
-
-def apply_s0(t: Tableau, params: HeckeParams):
-    """Replace T^(0) by the other parent of T^(1); None at critical contents."""
-    if t.k < 1:
-        raise IndexOutOfRange("s_0 needs k >= 1")
-    cands = parents(t.shapes[1], params)
-    if len(cands) == 1:
-        return None
-    other = [lam for lam in cands if lam != t.shapes[0]]
-    if len(other) != 1:
-        raise InvariantViolation(f"expected exactly one other parent, got {other}")
-    return Tableau((other[0],) + t.shapes[1:])
-
-
-def tableaux_to(lam: Partition, k: int, params: HeckeParams, max_height=None):
+def tableaux_to(lam: Partition, k: int, params: HeckeParams):
     """All tableaux from some member of P to lam in k steps, basis order."""
     lam = as_partition(lam)
-    if sum(lam) != params.weight + k or (max_height is not None and len(lam) > max_height):
+    if sum(lam) != params.weight + k:
         raise NotInPk(f"{lam} not in P_{k} for {params}")
 
-    chains = _chains_down(lam, k, params, max_height, {})
+    chains = _chains_down(lam, k, params, {})
     if not chains:
         raise NotInPk(f"{lam} not in P_{k} for {params}")
     chains.sort(key=plain_contents)
     return [Tableau(ch) for ch in chains]
 
 
-def _chains_down(lam, steps, params, max_height, memo):
+def _chains_down(lam, steps, params, memo):
     """Chains from P up to lam in `steps` boxes; memo maps (shape, steps) to them."""
     key = (lam, steps)
     if key in memo:
         return memo[key]
-    if max_height is not None and len(lam) > max_height:
-        out = []
-    elif steps == 0:
+    if steps == 0:
         out = [(lam,)] if is_in_P(lam, params) else []
     else:
         out = [
             ch + (lam,)
             for r, _ in removable_corners(lam)
-            for ch in _chains_down(remove_box(lam, r), steps - 1, params, max_height, memo)
+            for ch in _chains_down(remove_box(lam, r), steps - 1, params, memo)
         ]
     memo[key] = out
     return out
-
-
-def from_content_list(clist, lam: Partition, params: HeckeParams) -> Tableau:
-    """Rebuild the tableau with shifted contents c_T(1..k) ending at lam.
-
-    Each c_T(i) names the diagonal of the i-th added box; a partition has at
-    most one removable box per diagonal, so the chain is forced.
-    """
-    lam = as_partition(lam)
-    shapes = [lam]
-    cur = lam
-    for c in reversed(list(clist)):
-        plain = c + params.shift
-        matches = [
-            (r, col) for r, col in removable_corners(cur) if content(r, col) == plain
-        ]
-        if len(matches) != 1:
-            raise ValueError(f"content {c} does not name a removable box of {cur}")
-        cur = remove_box(cur, matches[0][0])
-        shapes.append(cur)
-    if not is_in_P(cur, params):
-        raise NotInP(f"reconstruction bottomed out at {cur} not in P")
-    return Tableau(tuple(reversed(shapes)))
 
 
 def row_tableau_of(start: Partition, end: Partition) -> Tableau:
@@ -428,20 +354,3 @@ def weyl_dim(lam: Partition, n: int) -> int:
         raise InvariantViolation(f"Weyl dimension of {lam} for gl_{n} is not an integer")
     return quotient
 
-
-@lru_cache(maxsize=None)
-def all_partitions_of(n: int, max_height=None):
-    """Every partition of n, optionally height capped (brute-force oracle aid)."""
-    out = []
-
-    def rec(prefix, remaining, cap):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        if max_height is not None and len(prefix) >= max_height:
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            rec(prefix + [part], remaining - part, part)
-
-    rec([], n, n)
-    return tuple(out)

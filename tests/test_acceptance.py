@@ -14,11 +14,10 @@ from tbh import algebra as al
 from tbh import seminormal as sn
 from tbh.bratteli import build_diagram
 from tbh.matrices import Matrix, SparseOperator
-from tbh.oracle import Carrier, TensorOracle, casimir_constant_gl, kappa_operator, realize_module
+from tbh.oracle import Carrier, TensorOracle, realize_module
 from tbh.params import HeckeParams
 from tbh.partitions import (
     Tableau,
-    all_partitions_of,
     content,
     enum_P,
     enum_Pk,
@@ -29,6 +28,8 @@ from tbh.partitions import (
     tableaux_to,
     weyl_dim,
 )
+
+from reference import all_partitions_of, casimir_constant_gl, critical_contents, kappa_operator
 
 def dense(op):
     """The Matrix of a SparseOperator, for reading its rows."""
@@ -102,7 +103,7 @@ def test_criterion_02_figure_reproduction():
 def test_criterion_03_parent_dichotomy():
     checked = 0
     for params in PARAM_GRID:
-        critical = params.critical_contents()
+        critical = critical_contents(params)
         target = params.a - params.p + params.b - params.q
         for mu in enum_Pk(params, 1):
             removed = [

@@ -1,8 +1,9 @@
+import gc
+
 import pytest
 
 from tbh.bratteli import (
     build_diagram,
-    carrier_dimension,
     dimension_vector,
     export,
     from_json,
@@ -10,6 +11,7 @@ from tbh.bratteli import (
     to_dot,
 )
 from tbh.errors import VertexNotFound
+from tbh import partitions
 from tbh.params import HeckeParams
 from tbh.partitions import (
     Tableau,
@@ -21,6 +23,8 @@ from tbh.partitions import (
     tableaux_to,
     weyl_dim,
 )
+
+from reference import carrier_dimension
 
 
 def test_level_sizes_1111():
@@ -95,6 +99,26 @@ def test_paths_examples():
         assert len(paths_to(diagram, lam, 1).paths) == 1
     with pytest.raises(VertexNotFound):
         paths_to(diagram, (5,), 2)
+
+
+def test_paths_and_box_partitions_leave_no_garbage_cycles():
+    # A recursive closure is a reference cycle that keeps its memo alive
+    # until a cyclic collection; neither enumeration may build one.
+    params = HeckeParams(2, 2, 2, 2, 5)
+    diagram = build_diagram(params)
+    lam = max(diagram.levels[-1], key=lambda mu: dimension_vector(diagram, 6)[mu])
+    calls = [
+        lambda: paths_to(diagram, lam, 6),
+        lambda: partitions._partitions_in_box(3, 4),
+    ]
+    for call in calls:
+        gc.collect()
+        gc.disable()
+        try:
+            assert call()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def test_paths_agree_with_tableau_enumeration():

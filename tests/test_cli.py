@@ -134,7 +134,7 @@ def test_debug_log_reports_largest_weight_space():
         env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin:/usr/local/bin", "TBH_LOG": "debug"},
     )
     assert proc.returncode == 0
-    assert "oracle stage dimension bookkeeping: carrier dim 8, largest weight space 3" in proc.stderr
+    assert "oracle stage dimension bookkeeping: dim U 8 (ambient 8), largest weight space 3" in proc.stderr
 
 
 def test_oracle_k0(capsys):

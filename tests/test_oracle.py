@@ -12,19 +12,24 @@ from tbh.oracle import (
     MAX_CARRIER_DIM,
     Carrier,
     TensorOracle,
-    casimir_constant_gl,
-    casimir_leq,
-    default_cz,
     elementary_action,
     gamma_pair,
-    kappa_V,
-    kappa_operator,
     realize_module,
     twist_constants,
     young_image_columns,
 )
 from tbh.params import HeckeParams
-from tbh.partitions import all_partitions_of, weyl_dim
+from tbh.partitions import weyl_dim
+
+from reference import (
+    all_partitions_of,
+    casimir_constant_gl,
+    casimir_leq,
+    isotypic_multiplicity,
+    kappa_V,
+    kappa_operator,
+    relations_consolidated,
+)
 
 
 def dense(op):
@@ -40,27 +45,15 @@ def dense(op):
 
 
 def test_twist_constants_gl():
-    consts = twist_constants(HeckeParams(2, 1, 2, 1), 4)
-    assert consts == {"c_x": Fraction(-2), "c_y": Fraction(-2), "d": Fraction(0)}
-
-
-def test_twist_constants_sl():
-    params = HeckeParams(2, 1, 2, 1, algebra="sl")
-    consts = twist_constants(params, 3)
-    half = (Fraction(3) - Fraction(1, 3)) / 2
-    assert consts["c_x"] == Fraction(4, 3) - half
-    assert consts["c_y"] == Fraction(1, 3) - half
-    assert consts["d"] == Fraction(1, 3)
+    assert twist_constants(4) == {"c_x": Fraction(-2), "c_y": Fraction(-2)}
 
 
 def test_default_cz():
-    assert default_cz(HeckeParams(2, 1, 2, 1), 5) == 0
-    assert default_cz(HeckeParams(2, 1, 2, 1, algebra="sl"), 5) == Fraction(4, 5)
+    assert TensorOracle(HeckeParams(1, 1, 1, 1, 0), 2).c_z == 0
 
 
 def test_kappa_V_values():
     assert kappa_V(4) == 4
-    assert kappa_V(3, "sl") == Fraction(8, 3)
 
 
 def test_casimir_constant_examples():
@@ -247,9 +240,9 @@ def test_z1_spectrum_example():
 
 def test_isotypic_multiplicities_match_path_counts():
     oracle = TensorOracle(HeckeParams(1, 1, 1, 1, 1), 3)
-    assert oracle.isotypic_multiplicity((2, 1)) == 2
-    assert oracle.isotypic_multiplicity((3,)) == 1
-    assert oracle.isotypic_multiplicity((1, 1, 1)) == 1
+    assert isotypic_multiplicity(oracle, (2, 1)) == 2
+    assert isotypic_multiplicity(oracle, (3,)) == 1
+    assert isotypic_multiplicity(oracle, (1, 1, 1)) == 1
 
 
 def test_commutant_and_transport_small():
@@ -257,7 +250,7 @@ def test_commutant_and_transport_small():
     oracle.check_commutant()
     results = oracle.check_transport()
     assert all(r.passed for r in results)
-    consolidated = oracle.check_transport(al.relations_consolidated(oracle.params))
+    consolidated = oracle.check_transport(relations_consolidated(oracle.params))
     assert all(r.passed for r in consolidated)
     braid = oracle.check_transport(al.relations_braid(2))
     assert all(r.passed for r in braid)
@@ -366,8 +359,6 @@ def test_caps():
         TensorOracle(HeckeParams(1, 1, 1, 1, 1), 1)  # p + q > n
     with pytest.raises(CapExceeded):
         TensorOracle(HeckeParams(4, 4, 2, 2, 0), 4)  # rectangle too big
-    with pytest.raises(CapExceeded):
-        TensorOracle(HeckeParams(1, 1, 1, 1, 2, algebra="sl"), 3)
     # carrier 8^5 = 32768 over the carrier cap; its weight spaces are only 120
     assert Carrier(8, 1, 1, 3).largest_weight_space == 120 <= MAX_BLOCK_DIM
     with pytest.raises(CapExceeded, match="carrier dimension 32768"):

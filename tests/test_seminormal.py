@@ -22,13 +22,13 @@ from tbh.matrices import SparseOperator, identity_columns
 from tbh.params import HeckeParams
 from tbh.partitions import (
     Tableau,
-    apply_s0,
-    apply_si,
     enum_Pk,
     row_tableau_of,
     shifted_content,
     tableaux_to,
 )
+
+from reference import apply_s0, apply_si, relations_consolidated
 
 P1111 = HeckeParams(1, 1, 1, 1)
 
@@ -765,7 +765,7 @@ def test_rational_gauge_relations_are_exact(a, b, p, q, k, data):
     params = HeckeParams(a, b, p, q)
     lam = data.draw(st.sampled_from(sorted(enum_Pk(params, k), reverse=True)))
     module = sn.build_module(lam, params, k)
-    for catalog in (None, al.relations_consolidated(params.with_k(k))):
+    for catalog in (None, relations_consolidated(params.with_k(k))):
         results = sn.check_full_relations(module, catalog=catalog)
         assert results and all(r.passed and r.exact for r in results)
     assert sn.quadratic_deviation(module) == (0, 0)

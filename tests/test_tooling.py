@@ -6,7 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "tbh"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "tbh"
 
 
 def test_no_assert_statements_in_package():
@@ -117,3 +118,82 @@ def test_relations_still_fail_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split()[:3] == ["optimize", "1", "relation"], proc.stdout
+
+
+# The one definition kept without a caller: the README documents it as the
+# inverse of the diagram export.
+ALLOWED_UNREFERENCED = {"src/tbh/bratteli.py:from_json"}
+
+
+def _top_level_references(tree):
+    """(node, names it mentions) per top-level statement.
+
+    A name counts when it appears as a variable, an attribute, or a string
+    constant (the benchmark tracer names the functions it wraps).
+    """
+    out = []
+    for node in tree.body:
+        names = set()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                names.add(sub.attr)
+            elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                names.add(sub.value)
+        out.append((node, names))
+    return out
+
+
+def _unreferenced(defining, referencing):
+    """Module-level functions and classes of ``defining`` that nothing names.
+
+    Both arguments map a file path to its source.  A definition is
+    referenced when some other top-level statement of either set names
+    it; its own body (a recursive call, a method naming its class) does
+    not count, and neither does a bare import.
+    """
+    parsed = {
+        name: _top_level_references(ast.parse(text, filename=name))
+        for name, text in {**referencing, **defining}.items()
+    }
+    return [
+        f"{name}:{node.name}"
+        for name in defining
+        for node, _ in parsed[name]
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not any(
+            node.name in names
+            for statements in parsed.values()
+            for other, names in statements
+            if other is not node
+        )
+    ]
+
+
+def _sources(*dirs):
+    return {
+        path.relative_to(ROOT).as_posix(): path.read_text()
+        for d in dirs
+        for path in sorted(d.glob("*.py"))
+    }
+
+
+def test_every_package_definition_has_a_caller():
+    # Test-only helpers live in tests/reference.py, not in the package.
+    defining = _sources(SRC)
+    referencing = _sources(ROOT / "scripts", ROOT / "perfbench")
+    assert defining and referencing, f"no sources under {ROOT}"
+    assert sorted(set(_unreferenced(defining, referencing)) - ALLOWED_UNREFERENCED) == []
+
+
+def test_unreferenced_scan_flags_a_dead_definition():
+    defining = {
+        "mod.py": (
+            "def used():\n    return 1\n\n"
+            "def dead(n):\n    return dead(n - 1) if n else used()\n\n"
+            "class Kept:\n    pass\n"
+        )
+    }
+    referencing = {"driver.py": "from mod import Kept, dead\nprint(used(), Kept())\n"}
+    assert _unreferenced(defining, referencing) == ["mod.py:dead"]
