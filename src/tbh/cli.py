@@ -49,17 +49,16 @@ def _parse_partition(text):
     return as_partition(parts)
 
 
-def _add_rect_args(sub, with_k=True):
+def _add_rect_args(sub):
     sub.add_argument("--a", type=int, required=True)
     sub.add_argument("--b", type=int, required=True)
     sub.add_argument("--p", type=int, required=True)
     sub.add_argument("--q", type=int, required=True)
-    if with_k:
-        sub.add_argument("--k", type=int, required=True)
+    sub.add_argument("--k", type=int, required=True)
 
 
-def _make_params(args, k=None):
-    params = HeckeParams(args.a, args.b, args.p, args.q, args.k if k is None else k)
+def _make_params(args):
+    params = HeckeParams(args.a, args.b, args.p, args.q, args.k)
     if params.normalized:
         print(
             f"note: parameters normalized to p >= q: using (a,b,p,q) = "
@@ -151,7 +150,7 @@ def cmd_oracle(args) -> int:
 
     params = _make_params(args)
     try:
-        oracle = TensorOracle(params, args.n, c_z=args.cz)
+        oracle = TensorOracle(params, args.n)
     except CapExceeded as exc:
         print(f"error: cap violated: {exc}", file=sys.stderr)
         return EXIT_CAP
@@ -229,7 +228,6 @@ def build_parser():
     o = subs.add_parser("oracle", help="run the gl_n tensor-space oracle suites")
     _add_rect_args(o)
     o.add_argument("--n", type=int, required=True)
-    o.add_argument("--cz", type=Fraction, default=Fraction(0))
     o.set_defaults(func=cmd_oracle)
 
     d = subs.add_parser("dims", help="print dimension vectors per rank")

@@ -21,10 +21,6 @@ class NotInPk(TbhError):
     """Partition is not in P_k for the given strand count."""
 
 
-class IndexOutOfRange(TbhError):
-    """Tableau position index outside 0..k."""
-
-
 class VertexNotFound(TbhError):
     """Requested vertex is absent from the Bratteli diagram."""
 

@@ -160,15 +160,6 @@ class SparseOperator:
         """The rational columns, ``num`` / ``den``, built on each access."""
         return rational_columns(self.num, self.den)
 
-    @classmethod
-    def from_matrix(cls, m: Matrix) -> "SparseOperator":
-        cols = [{} for _ in range(m.dim)]
-        for i, row in enumerate(m.rows):
-            for j, v in enumerate(row):
-                if v:
-                    cols[j][i] = v
-        return cls(cols)
-
     @property
     def dim(self):
         return len(self.num)
@@ -231,11 +222,9 @@ def integer_columns(columns):
 
 
 def as_operator(value) -> SparseOperator:
-    """A SparseOperator as is; a Matrix or a list of column dicts converted."""
+    """A SparseOperator as is; a list of column dicts converted."""
     if isinstance(value, SparseOperator):
         return value
-    if isinstance(value, Matrix):
-        return SparseOperator.from_matrix(value)
     return SparseOperator(value)
 
 

@@ -2,13 +2,23 @@
 
 The carrier is the subspace U = im(e_M) x im(e_N) x V^{x k} of the ambient
 tensor power V^{x(ap+bq+k)}, where e_M and e_N are Young symmetrizers for
-the rectangles.  All operators are exact column-sparse operators on the
-ambient space, built from leg transpositions:
+the rectangles.  A basis word of a tensor power is a tuple of values
+0..n-1, one per leg.  Every operator is an exact column-sparse operator
+built by one kernel, ``_leg_operator``, which sends each basis word to a
+sum of words:
 
-* gamma acting on factor sets A and B is the sum of leg swaps P_{l,m}
+* a leg swap P_{l,m} exchanges two letters;
+* gamma acting on factor sets A and B is the sum of the leg swaps P_{l,m}
   over l in A, m in B (trace-form dual bases collapse to swaps);
-* the braid/Hecke generator images are gamma sums with the scalar
-  constants folded in, so for gl_n the twisted images are integral.
+* E_ij turns one letter j into i, summed over the legs;
+* a Young symmetrizer is a signed sum of leg permutations.
+
+``young_image`` keeps the symmetrizer columns that exact integer
+elimination over all of them finds independent, so the dimension of the
+image is certified to be the Weyl dimension, and it checks that the
+symmetrizer is quasi-idempotent on them.  The generator images are gamma
+sums, integral for gl_n; they are built once per oracle into the read-only
+mapping ``TensorOracle.images``, which every stage reads.
 
 Sums and scalar shifts of operators are linear words, run through the
 same word evaluator as the relations.  Relations that only hold on U are
@@ -32,6 +42,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 
 from . import algebra
 from .bratteli import build_diagram, dimension_vector
@@ -46,7 +58,7 @@ from .errors import (
 )
 from .matrices import SparseOperator, rank_of_columns
 from .params import HeckeParams
-from .partitions import as_partition, enum_Pk, shifted_content, tableaux_to, weyl_dim
+from .partitions import as_partition, enum_Pk, gamma_rect, plain_contents, tableaux_to, weyl_dim
 
 MAX_RECT_BOXES = 6
 MAX_CARRIER_DIM = 20000
@@ -54,24 +66,12 @@ MAX_BLOCK_DIM = 210
 
 
 # ---------------------------------------------------------------------------
-# constants
-
-
-def twist_constants(n: int):
-    """The shift constants making the braid action factor through the quotient.
-
-    For gl_n both are -n/2, the same at every strand.
-    """
-    return {"c_x": Fraction(-n, 2), "c_y": Fraction(-n, 2)}
-
-
-# ---------------------------------------------------------------------------
-# ambient tensor carrier
+# ambient tensor carrier and the leg-operator kernel
 
 
 @dataclass(frozen=True)
 class Carrier:
-    """Leg bookkeeping for V^{x(ap + bq + k)} with mixed-radix indexing."""
+    """Leg bookkeeping for V^{x(ap + bq + k)}."""
 
     n: int
     legs_m: int
@@ -94,6 +94,12 @@ class Carrier:
             math.factorial(q + 1) ** r * math.factorial(q) ** (self.n - r)
         )
 
+    @cached_property
+    def index(self):
+        """Basis word -> basis position; words run lexicographically, leg 0 leading."""
+        words = itertools.product(range(self.n), repeat=self.total_legs)
+        return {w: i for i, w in enumerate(words)}
+
     def legs(self, factor):
         if factor == "M":
             return tuple(range(self.legs_m))
@@ -107,18 +113,24 @@ class Carrier:
             return (self.legs_m + self.legs_n + factor - 1,)
         raise FactorOutOfRange(f"unknown factor {factor!r}")
 
-    def decode(self, idx):
-        digits = []
-        for _ in range(self.total_legs):
-            digits.append(idx % self.n)
-            idx //= self.n
-        return tuple(reversed(digits))
 
-    def encode(self, digits):
-        idx = 0
-        for d in digits:
-            idx = idx * self.n + d
-        return idx
+def _leg_operator(carrier: Carrier, moves) -> SparseOperator:
+    """The operator sending each basis word w to the sum of c w' over (w', c) in moves(w)."""
+    index = carrier.index
+    cols = []
+    for w in index:
+        col = {}
+        for image, c in moves(w):
+            i = index[image]
+            col[i] = col.get(i, 0) + c
+        cols.append(col)
+    return SparseOperator(cols)
+
+
+def _swapped(w, a, b):
+    s = list(w)
+    s[a], s[b] = s[b], s[a]
+    return tuple(s)
 
 
 def _linear_word(terms, const=0):
@@ -139,12 +151,7 @@ def _linear_operator(dim, terms, const=0) -> SparseOperator:
 
 
 def leg_swap(carrier: Carrier, l1: int, l2: int) -> SparseOperator:
-    cols = []
-    for j in range(carrier.dim):
-        t = list(carrier.decode(j))
-        t[l1], t[l2] = t[l2], t[l1]
-        cols.append({carrier.encode(t): 1})
-    return SparseOperator(cols)
+    return _leg_operator(carrier, lambda w: ((_swapped(w, l1, l2), 1),))
 
 
 def gamma_pair(carrier: Carrier, factor_a, factor_b) -> SparseOperator:
@@ -153,223 +160,110 @@ def gamma_pair(carrier: Carrier, factor_a, factor_b) -> SparseOperator:
     legs_b = carrier.legs(factor_b)
     if set(legs_a) & set(legs_b):
         raise FactorOutOfRange("gamma needs distinct factors")
-    cols = []
-    for j in range(carrier.dim):
-        t = carrier.decode(j)
-        col = {}
-        for la in legs_a:
-            for lb in legs_b:
-                s = list(t)
-                s[la], s[lb] = s[lb], s[la]
-                i = carrier.encode(s)
-                col[i] = col.get(i, 0) + 1
-        cols.append(col)
-    return SparseOperator(cols)
+    pairs = [(la, lb) for la in legs_a for lb in legs_b]
+    return _leg_operator(carrier, lambda w: ((_swapped(w, la, lb), 1) for la, lb in pairs))
 
 
 def elementary_action(carrier: Carrier, i: int, j: int, legs) -> SparseOperator:
     """E_ij acting as a derivation across the given legs (0-indexed values)."""
-    cols = []
-    for idx in range(carrier.dim):
-        t = carrier.decode(idx)
-        col = {}
-        for leg in legs:
-            if t[leg] == j:
-                s = list(t)
-                s[leg] = i
-                new = carrier.encode(s)
-                col[new] = col.get(new, 0) + 1
-        cols.append(col)
-    return SparseOperator(cols)
+    return _leg_operator(
+        carrier, lambda w: ((w[:l] + (i,) + w[l + 1 :], 1) for l in legs if w[l] == j)
+    )
 
 
 # ---------------------------------------------------------------------------
-# highest weight realization via Young symmetrizers
+# highest weight modules as Young symmetrizer images
 
 
-@dataclass(frozen=True)
-class HighestWeightRealization:
-    lam: tuple
-    n: int
-    power: int  # number of tensor legs
-    columns: tuple  # integer basis columns of the image, as tuples
-    norm: Fraction  # y^2 = norm * y
-
-    @property
-    def dim(self):
-        return len(self.columns)
-
-
-def _row_group(lam):
-    filling = []
-    label = 0
-    for width in lam:
-        filling.append(list(range(label, label + width)))
-        label += width
-    groups = [list(itertools.permutations(row)) for row in filling]
-    perms = []
-    for combo in itertools.product(*groups):
-        perm = list(range(sum(lam)))
-        for row, img in zip(filling, combo):
-            for src, dst in zip(row, img):
-                perm[src] = dst
-        perms.append(tuple(perm))
-    return perms
-
-
-def _col_group_signed(lam):
-    m = sum(lam)
-    cols = {}
-    label = 0
-    for r, width in enumerate(lam):
-        for c in range(width):
-            cols.setdefault(c, []).append(label)
-            label += 1
-    groups = []
-    for _, members in sorted(cols.items()):
-        groups.append([(p, _perm_sign(p)) for p in itertools.permutations(range(len(members)))])
-    signed = []
-    for combo in itertools.product(*groups):
+def _block_perms(blocks, m):
+    """(sign, perm) of every permutation of range(m) mapping each block onto itself."""
+    out = []
+    for images in itertools.product(*map(itertools.permutations, blocks)):
         perm = list(range(m))
-        sign = 1
-        for (_, members), (img, sgn) in zip(sorted(cols.items()), combo):
-            for pos, where in enumerate(img):
-                perm[members[pos]] = members[where]
-            sign *= sgn
-        signed.append((tuple(perm), sign))
-    return signed
-
-
-def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        cur = start
-        while not seen[cur]:
-            seen[cur] = True
-            cur = perm[cur]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+        for block, image in zip(blocks, images):
+            for src, dst in zip(block, image):
+                perm[src] = dst
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        out.append((-1 if inversions % 2 else 1, tuple(perm)))
+    return out
 
 
 def _young_terms(lam):
-    """(sign, leg permutation) terms of the symmetrizer: rows after columns."""
-    terms = []
-    for sigma in _row_group(lam):
-        for tau, sign in _col_group_signed(lam):
-            composed = tuple(sigma[tau[i]] for i in range(len(sigma)))
-            terms.append((sign, composed))
-    return terms
+    """(sign, src) terms of the symmetrizer: row permutations after signed column ones.
+
+    Legs are labelled row by row.  A term sends a word w to the word whose
+    leg j reads leg src[j] of w.  Each group is closed under inverses, so
+    reading legs through perm rather than its inverse sums to the same
+    operator.
+    """
+    m = sum(lam)
+    rows = [range(s, s + width) for s, width in zip(itertools.accumulate(lam, initial=0), lam)]
+    cols = [[row[c] for row in rows if c < len(row)] for c in range(lam[0])]
+    col_perms = _block_perms(cols, m)
+    return [
+        (sign, tuple(tau[s] for s in sigma))
+        for _, sigma in _block_perms(rows, m)
+        for sign, tau in col_perms
+    ]
 
 
-def _apply_perm_to_tuple(perm, t):
-    # position j of the image reads position perm^{-1}(j); build via scatter
-    out = [0] * len(t)
-    for src, dst in enumerate(perm):
-        out[dst] = t[src]
-    return tuple(out)
+def _independent_columns(cols):
+    """The integer columns independent of the ones before them, in order.
+
+    Exact fraction-free elimination on sparse columns: each kept column is
+    reduced against the earlier pivots and stored, divided by its content,
+    under its smallest remaining row.
+    """
+    kept = []
+    echelon = []  # (pivot row, reduced column), zero at every earlier pivot
+    for col in cols:
+        vec = col
+        for piv, row in echelon:
+            a = vec.get(piv)
+            if a:
+                b = row[piv]
+                vec = {i: b * vec.get(i, 0) - a * row.get(i, 0) for i in vec.keys() | row.keys()}
+                vec = {i: v for i, v in vec.items() if v}
+        if vec:
+            g = math.gcd(*vec.values())
+            echelon.append((min(vec), {i: v // g for i, v in vec.items()}))
+            kept.append(col)
+    return kept
 
 
-def young_image_columns(lam, n: int):
-    """Integer basis of the symmetrizer image inside V^{x|lam|}."""
+def young_image(lam, n: int):
+    """Sparse integer basis columns of the symmetrizer image in V^{x|lam|}.
+
+    Every column of the symmetrizer y goes through the elimination, so the
+    image's rank is certified, not only reached: it must equal the Weyl
+    dimension of L(lam).  y must then act on every kept column by one
+    scalar (quasi-idempotence).
+    """
     lam = as_partition(lam)
     m = sum(lam)
     if m > MAX_RECT_BOXES:
         raise CapExceeded(f"|lam| = {m} exceeds the cap {MAX_RECT_BOXES}")
     if len(lam) > n:
         raise HeightExceeded(f"height {len(lam)} > n = {n}")
-    target = weyl_dim(lam, n)
     terms = _young_terms(lam)
-    dim = n ** m
-
-    def decode(idx):
-        digits = []
-        for _ in range(m):
-            digits.append(idx % n)
-            idx //= n
-        return tuple(reversed(digits))
-
-    def encode(t):
-        idx = 0
-        for d in t:
-            idx = idx * n + d
-        return idx
-
-    def y_column(j):
-        t = decode(j)
-        col = {}
-        for sign, perm in terms:
-            i = encode(_apply_perm_to_tuple(perm, t))
-            col[i] = col.get(i, 0) + sign
-        return {i: v for i, v in col.items() if v}
-
-    basis = []  # accepted integer columns
-    echelon = []  # (pivot index, Fraction row) pairs
-    for j in range(dim):
-        col = y_column(j)
-        if not col:
-            continue
-        vec = [Fraction(0)] * dim
-        for i, v in col.items():
-            vec[i] = Fraction(v)
-        for piv, row in echelon:
-            if vec[piv]:
-                coef = vec[piv] / row[piv]
-                vec = [a - coef * b for a, b in zip(vec, row)]
-        piv = next((i for i, v in enumerate(vec) if v), None)
-        if piv is None:
-            continue
-        echelon.append((piv, vec))
-        dense = [0] * dim
-        for i, v in col.items():
-            dense[i] = v
-        basis.append(tuple(dense))
-        if len(basis) == target:
-            break
+    y = _leg_operator(
+        Carrier(n, m, 0, 0), lambda w: ((tuple(w[s] for s in src), sign) for sign, src in terms)
+    )
+    basis = _independent_columns(y.cols)
+    if not basis:
+        raise InvariantViolation(f"symmetrizer for {lam} is zero")
+    images = y.apply(basis)
+    i0, v0 = next(iter(basis[0].items()))
+    norm = Fraction(images[0].get(i0, 0), v0)
+    for col, image in zip(basis, images):
+        if image != {i: norm * v for i, v in col.items()}:
+            raise InvariantViolation("symmetrizer is not quasi-idempotent on its image")
+    target = weyl_dim(lam, n)
     if len(basis) != target:
         raise InvariantViolation(
             f"symmetrizer image for {lam} has rank {len(basis)}, expected {target}"
         )
-    return basis, terms, (decode, encode)
-
-
-def realize_module(lam, n: int) -> HighestWeightRealization:
-    """Concrete copy of the irreducible module inside the tensor power."""
-    lam = as_partition(lam)
-    basis, terms, (decode, encode) = young_image_columns(lam, n)
-    m = sum(lam)
-
-    def apply_y(vec):
-        out = {}
-        for idx, v in enumerate(vec):
-            if not v:
-                continue
-            t = decode(idx)
-            for sign, perm in terms:
-                i = encode(_apply_perm_to_tuple(perm, t))
-                out[i] = out.get(i, 0) + sign * v
-        return out
-
-    # y acts on its own image by the quasi-idempotent scalar; pin it down
-    # from the first basis vector and verify on the rest.
-    first = apply_y(basis[0])
-    ratios = {
-        Fraction(first.get(i, 0), v) for i, v in enumerate(basis[0]) if v
-    }
-    if len(ratios) != 1:
-        raise InvariantViolation("symmetrizer is not quasi-idempotent on its image")
-    norm = ratios.pop()
-    for col in basis:
-        image = apply_y(col)
-        for i, v in enumerate(col):
-            if Fraction(image.get(i, 0)) != norm * v:
-                raise InvariantViolation("symmetrizer normalization failed")
-    return HighestWeightRealization(lam, n, m, tuple(basis), norm)
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -396,23 +290,30 @@ def _validate_caps(params: HeckeParams, carrier: Carrier):
         )
 
 
-# Factors whose gamma with V factor i opens the x, y and z images.
-_HEADS = {"x": ("M",), "y": ("N",), "z": ("M", "N")}
+# Factors whose gamma with V factor i opens the x, y and z images.  The
+# twist shifts each image by -n/2 per head factor.
+_HEADS = {algebra.X: ("M",), algebra.Y: ("N",), algebra.Z: ("M", "N")}
 
 
 class TensorOracle:
     """Ambient operators, inclusion columns, and the verification suites."""
 
-    def __init__(self, params: HeckeParams, n: int, c_z=0):
+    def __init__(self, params: HeckeParams, n: int):
         self.carrier = Carrier(n, params.a * params.p, params.b * params.q, params.k)
         _validate_caps(params, self.carrier)
         self.params = params
         self.n = n
-        self.c_z = Fraction(c_z)
         self._gamma_cache = {}
-        self._mod_m = realize_module((params.a,) * params.p, n)
-        self._mod_n = realize_module((params.b,) * params.q, n)
-        self.inclusion_columns = self._build_inclusion()
+        mod_m = young_image((params.a,) * params.p, n)
+        mod_n = young_image((params.b,) * params.q, n)
+        # im(e_M) x im(e_N) x V^{x k}: the ambient index is (i_M, i_N, i_V) in mixed radix
+        dim_n, dim_v = n ** self.carrier.legs_n, n ** params.k
+        self.inclusion_columns = [
+            {(im * dim_n + jn) * dim_v + t: vm * vn for im, vm in cm.items() for jn, vn in cn.items()}
+            for cm in mod_m
+            for cn in mod_n
+            for t in range(dim_v)
+        ]
 
     # -- operators ---------------------------------------------------------
 
@@ -429,55 +330,27 @@ class TensorOracle:
         """coeff * gamma_{F,i} for the head factors F of ``kind``, then for l < i."""
         return [(coeff, self.gamma(f, i)) for f in _HEADS[kind] + tuple(range(1, i))]
 
-    def t_image(self, i):
-        legs = self.carrier.legs(i) + self.carrier.legs(i + 1)
-        return leg_swap(self.carrier, legs[0], legs[1])
+    @cached_property
+    def images(self):
+        """Generator -> twisted image, built on first read and shared by every stage.
 
-    def x_image(self, i):
-        return self._sum(self._gamma_terms("x", i, 1))
-
-    def y_image(self, i):
-        return self._sum(self._gamma_terms("y", i, 1))
-
-    def z_image(self, i):
-        if i == 0:
-            return self._sum([(1, self.gamma("M", "N"))], self.c_z)
-        return self._sum(self._gamma_terms("z", i, 1))
-
-    def w_image(self, i):
-        return self._sum([(1, self.z_image(i))], -self.params.shift)
-
-    def phi_images(self):
-        """Twisted operators for every generator kind."""
+        t_i is the leg swap of V factors i and i+1; x_i, y_i and z_i are the
+        gamma sums of their head factors with V factor i plus gamma_{l,i}
+        for l < i; z_0 is gamma_{M,N}; w_i is z_i minus the shift.  All but
+        the w_i are integral.  The mapping is read-only.
+        """
         k = self.params.k
         out = {}
         for i in range(1, k):
-            out[(algebra.T, i)] = self.t_image(i)
+            legs = self.carrier.legs(i) + self.carrier.legs(i + 1)
+            out[(algebra.T, i)] = leg_swap(self.carrier, *legs)
         for i in range(1, k + 1):
-            out[(algebra.X, i)] = self.x_image(i)
-            out[(algebra.Y, i)] = self.y_image(i)
-            out[(algebra.Z, i)] = self.z_image(i)
-        out[(algebra.Z, 0)] = self.z_image(0)
-        for i in range(0, k + 1):
-            out[(algebra.W, i)] = self.w_image(i)
-        return out
-
-    # -- inclusion ---------------------------------------------------------
-
-    def _build_inclusion(self):
-        """Sparse columns of im(e_M) x im(e_N) x V^{x k} in the ambient basis."""
-        nk = self.n ** self.params.k
-        dim_n_amb = self.n ** self._mod_n.power
-        cols = []
-        for cm in self._mod_m.columns:
-            nz_m = [(i, v) for i, v in enumerate(cm) if v]
-            for cn in self._mod_n.columns:
-                nz_n = [(i, v) for i, v in enumerate(cn) if v]
-                for t in range(nk):
-                    cols.append(
-                        {(im * dim_n_amb + inn) * nk + t: vm * vn for im, vm in nz_m for inn, vn in nz_n}
-                    )
-        return cols
+            for kind in _HEADS:
+                out[(kind, i)] = self._sum(self._gamma_terms(kind, i, 1))
+        out[(algebra.Z, 0)] = self.gamma("M", "N")
+        for i in range(k + 1):
+            out[(algebra.W, i)] = self._sum([(1, out[(algebra.Z, i)])], -self.params.shift)
+        return MappingProxyType(out)
 
     @property
     def module_dim(self):
@@ -501,7 +374,7 @@ class TensorOracle:
         return algebra.require_passed(
             algebra.check_relations(
                 catalog,
-                self.phi_images(),
+                self.images,
                 algebra.definitions(params),
                 self.inclusion_columns,
                 self.carrier.dim,
@@ -511,48 +384,35 @@ class TensorOracle:
     def check_commutant(self):
         """Generator images commute with every E_ij action, ambient-exact.
 
-        Checked on the integral generating family t, x_i, y_i, z_i; the
+        Checked on the integral generating family t_i, x_i, y_i, z_i; the
         shifted w_i differ from z_i by central scalars, so nothing more is
         needed.  The columns of G E and E G are compared, each computed by
         applying one sparse operator to the columns of the other.
         """
-        k = self.params.k
-        gens = {}
-        for i in range(1, k):
-            gens[("t", i)] = self.t_image(i)
-        for i in range(1, k + 1):
-            gens[("x", i)] = self.x_image(i)
-            gens[("y", i)] = self.y_image(i)
-            gens[("z", i)] = self.z_image(i)
-        gens[("z", 0)] = self.gamma("M", "N")
+        gens = {g: op for g, op in self.images.items() if g[0] != algebra.W}
         legs = tuple(range(self.carrier.total_legs))
-        checked = 0
         for i in range(self.n):
             for j in range(self.n):
                 e = elementary_action(self.carrier, i, j, legs)
                 for name, g in gens.items():
                     if g.apply(e.cols) != e.apply(g.cols):
                         raise CommutantFailure(f"{name} does not commute with E[{i},{j}]")
-                    checked += 1
-        return {"pairs_checked": checked}
+        return {"pairs_checked": self.n**2 * len(gens)}
 
     def predicted_spectra(self):
         """Eigenvalue -> multiplicity per level, from tableaux and Weyl dims.
 
-        z_i eigenvalues are plain box contents for i >= 1 and the gamma
-        constant of the starting shape plus c_z for i = 0.
+        z_i eigenvalues are the plain contents of the added boxes for
+        i >= 1 and the gamma constant of the starting shape for i = 0.
         """
         params = self.params
-        k = params.k
-        preds = [dict() for _ in range(k + 1)]
-        for lam in sorted(enum_Pk(params, k, max_height=self.n), reverse=True):
+        preds = [dict() for _ in range(params.k + 1)]
+        for lam in sorted(enum_Pk(params, params.k, max_height=self.n), reverse=True):
             wd = weyl_dim(lam, self.n)
-            for t in tableaux_to(lam, k, params):
-                for i in range(0, k + 1):
-                    c = shifted_content(t, i, params) + params.shift
-                    if i == 0:
-                        c = c + self.c_z
-                    preds[i][c] = preds[i].get(c, 0) + wd
+            for t in tableaux_to(lam, params.k, params):
+                eigenvalues = (gamma_rect(t.start, params),) + plain_contents(t.shapes)
+                for pred, c in zip(preds, eigenvalues):
+                    pred[c] = pred.get(c, 0) + wd
         return preds
 
     def check_spectra(self):
@@ -561,7 +421,7 @@ class TensorOracle:
         d = self.module_dim
         report = []
         for i, pred in enumerate(preds):
-            op = self.z_image(i)
+            op = self.images[(algebra.Z, i)]
             total = sum(pred.values())
             if total != d:
                 raise SpectrumMismatch(
@@ -609,9 +469,9 @@ class TensorOracle:
         k = self.params.k
         difference = algebra.wsub(algebra.word("b"), algebra.word("t", "a", "t"))
         for i in range(1, k):
-            t = self.t_image(i)
+            t = self.images[(algebra.T, i)]
             expected = algebra.evaluate_word(algebra.word("t", coeff=2), {"t": t})
-            for kind in ("x", "y", "z"):
+            for kind in _HEADS:
                 ops = {
                     "t": t,
                     "a": self.untwisted_doubled(kind, i),
@@ -622,36 +482,29 @@ class TensorOracle:
         return k - 1
 
     def untwisted_doubled(self, kind, i) -> SparseOperator:
-        """2 * (untwisted image): integral since 2 * (n/2) = n.
+        """2 * (untwisted image of x_i, y_i or z_i, i >= 1): integral since 2 * (n/2) = n.
 
-        x_i doubles to 2(gamma_M,i + sum gamma) + n; y_i likewise with N;
-        z_i doubles to 2(gamma_M,i + gamma_N,i + sum gamma) + 2n, and z_0
-        to 2 gamma_{M,N}.  Built from the gammas, not from the twisted
-        images, so that check_twist_shifts compares two constructions.
+        Twice the gamma sum of the twisted image plus n per head factor:
+        2(gamma_M,i + sum gamma) + n for x_i, likewise with N for y_i, and
+        2(gamma_M,i + gamma_N,i + sum gamma) + 2n for z_i.  Built from the
+        gammas, not read from ``images``, so that check_twist_shifts
+        compares two constructions.
         """
-        if kind == "z" and i == 0:
-            return self._sum([(2, self.gamma("M", "N"))])
         return self._sum(self._gamma_terms(kind, i, 2), self.n * len(_HEADS[kind]))
 
     def check_twist_shifts(self):
-        """Twisted and untwisted images differ exactly by the scalar shifts.
+        """Twisted and untwisted images differ exactly by -n/2 per head factor.
 
-        Compared at double scale so everything stays integral: the
-        shifts are c_x = c_y = -n/2 for x and y, c_x + c_y = -n for z.
+        Compared at double scale so everything stays integral: the shift
+        is -n/2 for x_i and y_i, -n for z_i.  z_0 = gamma_{M,N} is not
+        twisted.
         """
-
-        def shifted_by(twisted, untwisted2, shift):
-            doubled = algebra.evaluate_word(*_linear_word([(2, twisted)]))
-            return doubled == algebra.evaluate_word(*_linear_word([(1, untwisted2)], 2 * shift))
-
-        consts = twist_constants(self.n)
-        shifts = {"x": consts["c_x"], "y": consts["c_y"], "z": consts["c_x"] + consts["c_y"]}
-        images = {"x": self.x_image, "y": self.y_image, "z": self.z_image}
         k = self.params.k
         for i in range(1, k + 1):
-            for kind, shift in shifts.items():
-                if not shifted_by(images[kind](i), self.untwisted_doubled(kind, i), shift):
+            for kind, heads in _HEADS.items():
+                doubled = algebra.evaluate_word(*_linear_word([(2, self.images[(kind, i)])]))
+                untwisted = self.untwisted_doubled(kind, i)
+                shifted = algebra.evaluate_word(*_linear_word([(1, untwisted)], -self.n * len(heads)))
+                if doubled != shifted:
                     raise RelationFailure(f"{kind} twist shift at {i}", "nonzero")
-        if not shifted_by(self.z_image(0), self.untwisted_doubled("z", 0), self.c_z):
-            raise RelationFailure("z_0 twist shift", "nonzero")
         return k

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from operator import lt
 
-from .errors import IndexOutOfRange, InvariantViolation, NotInP, NotInP1, NotInPk
+from .errors import InvariantViolation, NotInP, NotInP1, NotInPk
 from .params import HeckeParams
 
 Partition = tuple  # weakly decreasing tuple of positive ints
@@ -217,32 +217,10 @@ class Tableau:
     def end(self) -> Partition:
         return self.shapes[-1]
 
-    def box(self, i: int):
-        """(row, col) of the i-th added box, i = 1..k."""
-        if not 1 <= i <= self.k:
-            raise IndexOutOfRange(f"box index {i} outside 1..{self.k}")
-        prev, cur = self.shapes[i - 1], self.shapes[i]
-        for r in range(1, len(cur) + 1):
-            a = cur[r - 1]
-            b = prev[r - 1] if r <= len(prev) else 0
-            if a != b:
-                return (r, a)
-        raise InvariantViolation("adjacent shapes identical")
-
 
 def _contains(outer, inner):
     # map stops at the shorter shape, so a taller inner shape is rejected first.
     return len(inner) <= len(outer) and not any(map(lt, outer, inner))
-
-
-def shifted_content(t: Tableau, i: int, params: HeckeParams) -> Fraction:
-    """Shifted content c_T(i); c_T(0) encodes the starting shape's gamma value."""
-    if not 0 <= i <= t.k:
-        raise IndexOutOfRange(f"{i} outside 0..{t.k}")
-    if i == 0:
-        return gamma_rect(t.start, params) - params.shift
-    r, c = t.box(i)
-    return Fraction(content(r, c)) - params.shift
 
 
 def added_rows(shapes):

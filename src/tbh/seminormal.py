@@ -34,7 +34,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from . import algebra, partitions
 from .errors import (
@@ -225,6 +224,7 @@ class SeminormalModule:
     lam: tuple
     k: int
     table: EntryTable
+    operators: dict  # generator -> SparseOperator; shared, treat as read-only
 
     @property
     def basis(self):
@@ -234,48 +234,48 @@ class SeminormalModule:
     def dim(self):
         return len(self.table.basis)
 
-    @cached_property
-    def operators(self):
-        """Column-sparse generators in the exact rational gauge, built once.
 
-        Column S holds the diagonal entry at row S and, when the neighbor
-        T = s S exists, the off-diagonal [g]_{T,S} at row T.  Every caller
-        shares the one dict; treat it and its operators as read-only.
-        """
-        table = self.table
-        contents = table.contents
-        neighbor = table.neighbor_s
-        n = self.dim
-        out = {
-            (algebra.W, i): SparseOperator([{s: contents[s][i]} for s in range(n)])
-            for i in range(self.k + 1)
-        }
-        if self.k >= 1:
-            cols = []
-            for s in range(n):
-                col = {s: table.diag_x[s]}
-                t = neighbor[s][0]
-                if t is not None:
-                    col[t] = offdiag_x_entry(contents[t][1], self.params)
-                cols.append(col)
-            out[(algebra.X, 1)] = SparseOperator(cols)
-        for i in range(1, self.k):
-            cols = []
-            for s in range(n):
-                col = {s: table.diag_t[(s, i)]}
-                t = neighbor[s][i]
-                if t is not None:
-                    col[t] = 1 + table.diag_t[(t, i)]
-                cols.append(col)
-            out[(algebra.T, i)] = SparseOperator(cols)
-        return out
+def _operators(table: EntryTable, params: HeckeParams, k: int):
+    """Column-sparse generators in the exact rational gauge.
+
+    Column S holds the diagonal entry at row S and, when the neighbor
+    T = s S exists, the off-diagonal [g]_{T,S} at row T.
+    """
+    contents = table.contents
+    neighbor = table.neighbor_s
+    n = len(table.basis)
+    out = {
+        (algebra.W, i): SparseOperator([{s: contents[s][i]} for s in range(n)])
+        for i in range(k + 1)
+    }
+    if k >= 1:
+        cols = []
+        for s in range(n):
+            col = {s: table.diag_x[s]}
+            t = neighbor[s][0]
+            if t is not None:
+                col[t] = offdiag_x_entry(contents[t][1], params)
+            cols.append(col)
+        out[(algebra.X, 1)] = SparseOperator(cols)
+    for i in range(1, k):
+        cols = []
+        for s in range(n):
+            col = {s: table.diag_t[(s, i)]}
+            t = neighbor[s][i]
+            if t is not None:
+                col[t] = 1 + table.diag_t[(t, i)]
+            cols.append(col)
+        out[(algebra.T, i)] = SparseOperator(cols)
+    return out
 
 
 def build_module(lam, params: HeckeParams, k: int) -> SeminormalModule:
+    """The entry table of lam and the generators built from it."""
     lam = as_partition(lam)
     if sum(lam) != params.weight + k:
         raise NotInPk(f"{lam} has the wrong number of boxes for k={k}")
-    return SeminormalModule(params, lam, k, entry_table(lam, params, k))
+    table = entry_table(lam, params, k)
+    return SeminormalModule(params, lam, k, table, _operators(table, params, k))
 
 
 def module_to_json(module: SeminormalModule):

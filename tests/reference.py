@@ -1,8 +1,9 @@
 """Reference code that only the tests call.
 
-Independent constructions the tests compare the package against: tableau
-moves rebuilt from shifted contents (``apply_si``, ``apply_s0``,
-``from_content_list``), a brute-force partition enumeration, Casimir
+Independent constructions the tests compare the package against: the
+shifted contents c_T(i) (``shifted_content``, ``box``), tableau moves
+rebuilt from them (``apply_si``, ``apply_s0``, ``from_content_list``), a
+brute-force partition enumeration, Casimir
 operators assembled from leg swaps, the highest-weight count of an
 isotypic component, and the longer Hecke presentation
 ``relations_consolidated``, run as a second relation suite beside
@@ -18,7 +19,7 @@ from math import comb
 
 from tbh.algebra import T, X, Y, Z, RelationPair, _sym_group_relations, wadd, wconst, wmul, word
 from tbh.bratteli import BratteliDiagram, dimension_vector
-from tbh.errors import FactorOutOfRange, IndexOutOfRange, InvariantViolation, NotInP
+from tbh.errors import FactorOutOfRange, InvariantViolation, NotInP, TbhError
 from tbh.matrices import SparseOperator, rank_of_columns
 from tbh.oracle import Carrier, TensorOracle, _linear_operator, elementary_action, gamma_pair, leg_swap
 from tbh.params import HeckeParams
@@ -28,16 +29,43 @@ from tbh.partitions import (
     add_box,
     as_partition,
     content,
+    gamma_rect,
     is_in_P,
     parents,
     remove_box,
     removable_corners,
-    shifted_content,
     weyl_dim,
 )
 
 # ---------------------------------------------------------------------------
 # partitions and tableaux
+
+
+class IndexOutOfRange(TbhError):
+    """Tableau position index outside 0..k."""
+
+
+def box(t: Tableau, i: int):
+    """(row, col) of the i-th added box, i = 1..k."""
+    if not 1 <= i <= t.k:
+        raise IndexOutOfRange(f"box index {i} outside 1..{t.k}")
+    prev, cur = t.shapes[i - 1], t.shapes[i]
+    for r in range(1, len(cur) + 1):
+        a = cur[r - 1]
+        b = prev[r - 1] if r <= len(prev) else 0
+        if a != b:
+            return (r, a)
+    raise InvariantViolation("adjacent shapes identical")
+
+
+def shifted_content(t: Tableau, i: int, params: HeckeParams) -> Fraction:
+    """Shifted content c_T(i); c_T(0) encodes the starting shape's gamma value."""
+    if not 0 <= i <= t.k:
+        raise IndexOutOfRange(f"{i} outside 0..{t.k}")
+    if i == 0:
+        return gamma_rect(t.start, params) - params.shift
+    r, c = box(t, i)
+    return Fraction(content(r, c)) - params.shift
 
 
 def critical_contents(params: HeckeParams):
@@ -80,7 +108,7 @@ def apply_si(t: Tableau, i: int, params: HeckeParams):
     cj = shifted_content(t, i + 1, params)
     if cj - ci in (1, -1):
         return None
-    r, c = t.box(i + 1)
+    r, c = box(t, i + 1)
     middle = add_box(t.shapes[i - 1], r)
     shapes = t.shapes[:i] + (middle,) + t.shapes[i + 1 :]
     return Tableau(shapes)

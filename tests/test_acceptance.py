@@ -14,7 +14,7 @@ from tbh import algebra as al
 from tbh import seminormal as sn
 from tbh.bratteli import build_diagram
 from tbh.matrices import Matrix, SparseOperator
-from tbh.oracle import Carrier, TensorOracle, realize_module
+from tbh.oracle import Carrier, TensorOracle, young_image
 from tbh.params import HeckeParams
 from tbh.partitions import (
     Tableau,
@@ -224,17 +224,11 @@ def test_criterion_09_casimir_constants():
     for n in (2, 3):
         for size in range(1, 5):
             for lam in all_partitions_of(size, n):
-                real = realize_module(lam, n)
-                assert real.dim == weyl_dim(lam, n)
-                carrier = Carrier(n, size, 0, 0)
-                kappa = dense(kappa_operator(carrier, range(size)))
+                cols = young_image(lam, n)
+                assert len(cols) == weyl_dim(lam, n)
+                kappa = kappa_operator(Carrier(n, size, 0, 0), range(size))
                 const = casimir_constant_gl(lam, n)
-                for col in real.columns:
-                    image = [
-                        sum(kappa.rows[i][j] * col[j] for j in range(carrier.dim))
-                        for i in range(carrier.dim)
-                    ]
-                    assert image == [const * v for v in col]
+                assert kappa.apply(cols) == [{i: const * v for i, v in col.items()} for col in cols]
                 checked += 1
     report(9, f"Casimir constants on {checked} realized modules match the weight formula")
 
@@ -266,8 +260,7 @@ def test_criterion_10_negative_controls():
 
     # (c) wrong gamma factor in x_1: relation transport must object
     oracle = TensorOracle(HeckeParams(1, 1, 1, 1, 2), 2)
-    images = oracle.phi_images()
-    images[(al.X, 1)] = oracle.gamma("M", 2)
+    images = {**oracle.images, (al.X, 1): oracle.gamma("M", 2)}
     defs = al.definitions(oracle.params)
     broken = 0
     for rel in al.relations_short(oracle.params):

@@ -158,18 +158,7 @@ def test_evaluator_rejects_inexact_entries():
     with pytest.raises(InexactEntry):
         al.evaluate_word(word, {(al.T, 1): [{0: 0.5}]})
     with pytest.raises(InexactEntry):
-        al.evaluate_word(word, {(al.T, 1): Matrix([[0.5, 0], [0, 1]])})
-    with pytest.raises(InexactEntry):
         al.evaluate_word(word, {(al.T, 1): [{0: 1}]}, columns=[{0: 0.5}])
-
-
-def test_evaluator_dense_matrix_agrees_with_sparse():
-    dense = Matrix([[1, Fraction(1, 2)], [0, 3]])
-    sparse = SparseOperator([{0: 1}, {0: Fraction(1, 2), 1: 3}])
-    w = al.word((al.T, 1), (al.T, 1))
-    image = al.evaluate_word(w, {(al.T, 1): sparse})
-    assert al.evaluate_word(w, {(al.T, 1): dense}) == image
-    assert image == [{0: 1}, {0: 2, 1: 9}]  # columns of the square
 
 
 def test_operator_keeps_integer_numerators_over_one_denominator():

@@ -24,7 +24,7 @@ from tbh.partitions import (
     weyl_dim,
 )
 
-from reference import carrier_dimension
+from reference import box, carrier_dimension
 
 
 def test_level_sizes_1111():
@@ -182,7 +182,7 @@ def test_levels_and_edges_match_one_box_additions(max_height):
         src, dst = diagram.levels[rank], diagram.levels[rank + 1]
         got = [(src[si], dst[di], label) for si, di, label in diagram.edges[rank]]
         want = {
-            (lam, mu, content(*Tableau((lam, mu)).box(1)))
+            (lam, mu, content(*box(Tableau((lam, mu)), 1)))
             for lam in src
             for mu in add_box_set(lam, max_height)
         }

@@ -115,7 +115,7 @@ def test_oracle_block_cap_refuses_before_building_operators(monkeypatch, capsys)
     def refuse(*args, **kwargs):
         raise RuntimeError("an operator was built")
 
-    monkeypatch.setattr(oracle, "realize_module", refuse)
+    monkeypatch.setattr(oracle, "young_image", refuse)
     monkeypatch.setattr(matrices.SparseOperator, "__init__", refuse)
     code, _, err = run(
         ["oracle", "--a", "1", "--b", "1", "--p", "1", "--q", "1", "--k", "12", "--n", "2"],
@@ -190,6 +190,21 @@ def test_module_entrypoint_subprocess():
     )
     assert proc.returncode == 0
     assert "rank 2" in proc.stdout
+
+
+def test_full_verification_script_passes():
+    # The script is the only caller of relations_braid and runs every oracle
+    # stage over its configuration grid.
+    script = Path(SRC).parent / "scripts" / "full_verification.py"
+    proc = subprocess.run(
+        [sys.executable, str(script)],
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin:/usr/local/bin"},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "all verifications passed" in proc.stdout
 
 
 def test_debug_log_reports_each_verified_module():

@@ -4,8 +4,15 @@ from fractions import Fraction
 import pytest
 
 from tbh import algebra as al
-from tbh import matrices
-from tbh.errors import CapExceeded, CommutantFailure, HeightExceeded, RelationFailure, SpectrumMismatch
+from tbh import matrices, oracle
+from tbh.errors import (
+    CapExceeded,
+    CommutantFailure,
+    HeightExceeded,
+    InvariantViolation,
+    RelationFailure,
+    SpectrumMismatch,
+)
 from tbh.matrices import Matrix, SparseOperator, apply_to_columns, rank_exact
 from tbh.oracle import (
     MAX_BLOCK_DIM,
@@ -14,9 +21,7 @@ from tbh.oracle import (
     TensorOracle,
     elementary_action,
     gamma_pair,
-    realize_module,
-    twist_constants,
-    young_image_columns,
+    young_image,
 )
 from tbh.params import HeckeParams
 from tbh.partitions import weyl_dim
@@ -42,14 +47,6 @@ def dense(op):
 
 
 # --- constants ---------------------------------------------------------------
-
-
-def test_twist_constants_gl():
-    assert twist_constants(4) == {"c_x": Fraction(-2), "c_y": Fraction(-2)}
-
-
-def test_default_cz():
-    assert TensorOracle(HeckeParams(1, 1, 1, 1, 0), 2).c_z == 0
 
 
 def test_kappa_V_values():
@@ -111,11 +108,9 @@ def test_kappa_V_operator():
 def test_kappa_on_symmetric_square_is_six():
     # kappa acts by 6 on the L((2)) component of V x V for gl_2.
     carrier = Carrier(2, 2, 0, 0)
-    kappa = dense(kappa_operator(carrier, carrier.legs("M")))
-    cols = realize_module((2,), 2).columns
-    for col in cols:
-        image = [sum(kappa.rows[i][j] * col[j] for j in range(4)) for i in range(4)]
-        assert image == [6 * v for v in col]
+    kappa = kappa_operator(carrier, carrier.legs("M"))
+    cols = young_image((2,), 2)
+    assert kappa.apply(cols) == [{i: 6 * v for i, v in col.items()} for col in cols]
 
 
 def test_kappa_leq_matches_direct_inclusion():
@@ -155,49 +150,79 @@ def test_bracket_relations_on_carrier():
 
 
 def test_realize_module_single_box_is_identity():
-    real = realize_module((1,), 3)
-    assert real.dim == 3
-    assert sorted(real.columns) == sorted(
-        ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    )
+    assert young_image((1,), 3) == [{0: 1}, {1: 1}, {2: 1}]
 
 
 def test_realize_module_dims():
-    assert realize_module((1, 1), 2).dim == 1
-    assert realize_module((2,), 2).dim == 3
-    assert realize_module((2, 2), 3).dim == 6
-    assert realize_module((2, 1), 3).dim == 8
+    assert len(young_image((1, 1), 2)) == 1
+    assert len(young_image((2,), 2)) == 3
+    assert len(young_image((2, 2), 3)) == 6
+    assert len(young_image((2, 1), 3)) == 8
 
 
 def test_realize_module_caps():
     with pytest.raises(HeightExceeded):
-        realize_module((1, 1, 1), 2)
+        young_image((1, 1, 1), 2)
     with pytest.raises(CapExceeded):
-        realize_module((4, 4), 2)
+        young_image((4, 4), 2)
 
 
 def test_young_columns_match_weyl_dims():
     for n in (2, 3):
         for size in range(1, 5):
             for lam in all_partitions_of(size, n):
-                cols, _, _ = young_image_columns(lam, n)
+                cols = young_image(lam, n)
                 assert len(cols) == weyl_dim(lam, n)
+                assert all(type(v) is int for col in cols for v in col.values())
+
+
+YOUNG_TERMS = oracle._young_terms
+
+
+def _flipped_term(position):
+    """_young_terms with the sign of one term flipped."""
+
+    def terms(lam):
+        out = YOUNG_TERMS(lam)
+        sign, src = out[position]
+        out[position] = (-sign, src)
+        return out
+
+    return terms
+
+
+def test_young_image_rejects_too_large_an_image(monkeypatch):
+    # -(1 + s) in place of 1 - s: the (1,1) "antisymmetrizer" spans Sym^2,
+    # of dimension 3, and is quasi-idempotent there (norm -2).  Only the
+    # rank certificate over every column can refuse it.
+    assert YOUNG_TERMS((1, 1))[0] == (1, (0, 1))
+    monkeypatch.setattr(oracle, "_young_terms", _flipped_term(0))
+    with pytest.raises(InvariantViolation, match=r"rank 3, expected 1"):
+        young_image((1, 1), 2)
+
+
+def test_young_image_rejects_a_flipped_symmetrizer_sign(monkeypatch):
+    # One of the 16 terms of the (2,2) symmetrizer with the wrong sign: y no
+    # longer acts on its image by a scalar.
+    monkeypatch.setattr(oracle, "_young_terms", _flipped_term(5))
+    with pytest.raises(InvariantViolation, match="not quasi-idempotent"):
+        young_image((2, 2), 3)
+
+
+def test_young_image_rejects_a_rank_below_its_target(monkeypatch):
+    monkeypatch.setattr(oracle, "weyl_dim", lambda lam, n: weyl_dim(lam, n) + 1)
+    with pytest.raises(InvariantViolation, match=r"rank 6, expected 7"):
+        young_image((2, 2), 3)
 
 
 def test_casimir_acts_by_constant_on_realized_modules():
     for n in (2, 3):
         for size in range(1, 5):
             for lam in all_partitions_of(size, n):
-                real = realize_module(lam, n)
-                carrier = Carrier(n, size, 0, 0)
-                kappa = dense(kappa_operator(carrier, range(size)))
+                cols = young_image(lam, n)
+                kappa = kappa_operator(Carrier(n, size, 0, 0), range(size))
                 const = casimir_constant_gl(lam, n)
-                for col in real.columns:
-                    image = [
-                        sum(kappa.rows[i][j] * col[j] for j in range(carrier.dim))
-                        for i in range(carrier.dim)
-                    ]
-                    assert image == [const * v for v in col]
+                assert kappa.apply(cols) == [{i: const * v for i, v in col.items()} for col in cols]
 
 
 # --- the oracle proper -------------------------------------------------------------
@@ -205,19 +230,17 @@ def test_casimir_acts_by_constant_on_realized_modules():
 
 def test_swap_image():
     oracle = TensorOracle(HeckeParams(1, 1, 1, 1, 2), 2)
-    t1 = dense(oracle.t_image(1))
+    t1 = oracle.images[(al.T, 1)]
     # the 4x4 swap on the two V factors, tensored over M x N
-    for idx in range(oracle.carrier.dim):
-        digits = list(oracle.carrier.decode(idx))
-        digits[2], digits[3] = digits[3], digits[2]
-        swapped = oracle.carrier.encode(digits)
-        col = [t1.rows[r][idx] for r in range(oracle.carrier.dim)]
-        assert col[swapped] == 1 and sum(map(abs, col)) == 1
+    index = oracle.carrier.index
+    assert len(index) == oracle.carrier.dim == 16
+    for word, idx in index.items():
+        assert t1.cols[idx] == {index[word[:2] + (word[3], word[2])]: 1}
 
 
 def test_x1_annihilating_polynomial():
     oracle = TensorOracle(HeckeParams(1, 1, 1, 1, 1), 2)
-    x1 = dense(oracle.x_image(1))
+    x1 = dense(oracle.images[(al.X, 1)])
     ident = Matrix.identity(oracle.carrier.dim)
     assert (x1 - ident) * (x1 + ident) == ident * 0
 
@@ -261,8 +284,7 @@ def test_transport_negative_control_gamma_factor():
     # g-equivariant, so only the relation suite can expose it; the twist
     # relations pairing x_1 with w_0 and w_1 fail.
     oracle = TensorOracle(HeckeParams(1, 1, 1, 1, 2), 2)
-    images = oracle.phi_images()
-    images[(al.X, 1)] = oracle.gamma("M", 2)
+    images = {**oracle.images, (al.X, 1): oracle.gamma("M", 2)}
     defs = al.definitions(oracle.params)
     failing = set()
     for rel in al.relations_short(oracle.params):
@@ -286,8 +308,7 @@ def test_transport_negative_control_integer_t_image(part):
     # image with one numerator raised by one, or with den 2, must fail the
     # transported relations.
     oracle = TensorOracle(HeckeParams(1, 1, 1, 1, 2), 2)
-    images = oracle.phi_images()
-    t1 = images[(al.T, 1)]
+    t1 = oracle.images[(al.T, 1)]
     assert t1.den == 1 and t1.num is t1.cols
     bad = SparseOperator(t1.cols)
     if part == "numerator":
@@ -295,7 +316,7 @@ def test_transport_negative_control_integer_t_image(part):
         bad.num[0][0] += 1
     else:
         bad.den = 2
-    oracle.phi_images = lambda: {**images, (al.T, 1): bad}
+    oracle.images = {**oracle.images, (al.T, 1): bad}
     with pytest.raises(RelationFailure):
         oracle.check_transport()
 
@@ -317,18 +338,18 @@ def test_commutant_negative_control_moved_t_column():
     # t_1 with basis column 0 sent to e_1 instead of e_0 is no longer
     # g-equivariant: E_00 sees a different weight on the two sides.
     oracle = TensorOracle(HeckeParams(1, 1, 1, 1, 2), 2)
-    cols = list(oracle.t_image(1).cols)
+    cols = list(oracle.images[(al.T, 1)].cols)
     assert cols[0] == {0: 1}
     cols[0] = {1: 1}
-    moved = SparseOperator(cols)
-    oracle.t_image = lambda i: moved
+    oracle.images = {**oracle.images, (al.T, 1): SparseOperator(cols)}
     with pytest.raises(CommutantFailure, match=r"\('t', 1\)"):
         oracle.check_commutant()
 
 
 def test_factor_difference_negative_control_gamma_entry():
-    # x_2, y_2 and z_2 are built from the corrupted gamma_{1,2}; the right
-    # side, the leg swap t_1, is not, so the difference shows.
+    # x_2, y_2 and z_2 are built from the corrupted gamma_{1,2}, patched in
+    # before the images are first read; the right side, the leg swap t_1,
+    # is not, so the difference shows.
     oracle = TensorOracle(HeckeParams(1, 1, 1, 1, 2), 2)
     gamma = oracle.gamma
     bad = _bumped(gamma(1, 2), 0, 0)
@@ -338,14 +359,34 @@ def test_factor_difference_negative_control_gamma_entry():
 
 
 def test_twist_shift_negative_control_x_entry():
-    # The untwisted x_1 is built from the gammas, not from x_image, so a
-    # corrupted twisted image no longer differs from it by the scalar shift.
+    # The untwisted x_1 is built from the gammas, not read from the images,
+    # so a corrupted twisted image no longer differs from it by the shift.
     oracle = TensorOracle(HeckeParams(1, 1, 1, 1, 2), 2)
-    x_image = oracle.x_image
-    bad = _bumped(x_image(1), 3, 5)
-    oracle.x_image = lambda i: bad if i == 1 else x_image(i)
+    oracle.images = {**oracle.images, (al.X, 1): _bumped(oracle.images[(al.X, 1)], 3, 5)}
     with pytest.raises(RelationFailure, match="x twist shift at 1"):
         oracle.check_twist_shifts()
+
+
+def test_spectra_negative_control_z_entry():
+    # One entry of z_1 raised by one: the annihilating polynomial or a
+    # multiplicity of z_1 must fail.
+    oracle = TensorOracle(HeckeParams(1, 1, 1, 1, 1), 2)
+    z1 = oracle.images[(al.Z, 1)]
+    oracle.images = {**oracle.images, (al.Z, 1): _bumped(z1, 0, 1)}
+    with pytest.raises(SpectrumMismatch, match="z_1"):
+        oracle.check_spectra()
+
+
+def test_images_are_read_only_and_shared():
+    oracle = TensorOracle(HeckeParams(1, 1, 1, 1, 2), 2)
+    assert oracle.images is oracle.images
+    with pytest.raises(TypeError):
+        oracle.images[(al.T, 1)] = oracle.gamma(1, 2)
+    assert oracle.images[(al.Z, 0)] is oracle.gamma("M", "N")
+    assert set(oracle.images) == {
+        (al.T, 1), (al.X, 1), (al.X, 2), (al.Y, 1), (al.Y, 2), (al.Z, 1), (al.Z, 2), (al.Z, 0),
+        (al.W, 0), (al.W, 1), (al.W, 2),
+    }
 
 
 def test_dimension_bookkeeping():
@@ -377,11 +418,7 @@ def test_largest_weight_space_is_the_even_multinomial():
 
 
 def test_spectra_mismatch_detection():
-    # c_z is a free parameter: shifting it moves operator and prediction
-    # together, so the check still passes.
-    oracle = TensorOracle(HeckeParams(1, 1, 1, 1, 1), 2, c_z=Fraction(1, 3))
-    oracle.check_spectra()
-    # A genuinely wrong multiplicity table must be rejected.
+    # A wrong multiplicity table must be rejected.
     bad = TensorOracle(HeckeParams(1, 1, 1, 1, 0), 2)
     skewed = bad.predicted_spectra()
     skewed[0][Fraction(1)] -= 1
@@ -424,7 +461,7 @@ def test_x1_multiplicities_match_seminormal_blocks_b_zero():
     params = HeckeParams(1, 2, 2, 1, 1)
     n = 3
     oracle = TensorOracle(params, n)
-    x1 = dense(oracle.x_image(1))
+    x1 = dense(oracle.images[(al.X, 1)])
     predicted = {params.a: 0, -params.p: 0}
     for lam in enum_Pk(params, 1, max_height=n):
         table = sn.entry_table(lam, params, 1)

@@ -20,7 +20,6 @@ from tbh.partitions import (
     lex_max_parent_in,
     parents,
     row_tableau_of,
-    shifted_content,
     t_lambda,
     tableaux_to,
     weyl_dim,
@@ -30,9 +29,11 @@ from reference import (
     all_partitions_of,
     apply_s0,
     apply_si,
+    box,
     critical_contents,
     enum_P_size,
     from_content_list,
+    shifted_content,
 )
 
 small_params = st.tuples(
@@ -328,7 +329,7 @@ def test_worked_example_row_and_distinguished():
         )
     )
     def filling(t):
-        return {t.box(i): i for i in range(1, t.k + 1)}
+        return {box(t, i): i for i in range(1, t.k + 1)}
 
     assert filling(t) == {(4, 3): 1, (5, 2): 2, (1, 6): 3, (1, 7): 4, (5, 3): 5}
     rt = row_tableau_of(t.start, t.end)
