@@ -2,10 +2,10 @@
 """Sweep every desk-scale configuration through the full verification stack.
 
 Seminormal side: entry criteria, relation families, quadratic spectra, and
-simplicity certificates for four rectangle pairs up to k = 3.  Oracle side:
-commutant, transport of the Hecke and the braid algebra catalogs, twist
-shifts, factor differences, and exact spectra for the tensor-space
-realizations.
+simplicity certificates for four rectangle pairs up to k = 3.  Oracle side,
+for the tensor-space realizations: commutant, factor differences and
+z_i = x_i + y_i - m_i on the ambient space; transport of the Hecke and the
+braid algebra catalogs and exact spectra on the carrier U.
 """
 
 import sys
@@ -62,8 +62,7 @@ def oracle_sweep():
             oracle.check_transport(algebra.relations_braid(k))
             oracle.check_spectra()
             oracle.check_twist_shifts()
-            if k >= 1:
-                oracle.check_factor_difference()
+            oracle.check_factor_difference()
             print(f"  {abpq} n={n} k={k}: dim U {oracle.module_dim} ok")
     print(f"oracle sweep done in {time.time() - start:.1f} s")
 

@@ -45,10 +45,6 @@ M = "m"  # m_i = sum of transpositions t_{(j i)}, j < i
 TP = "tp"  # t_{(i j)} transposition, index = (i, j) with i < j
 
 
-def gen(kind, index):
-    return (kind, index)
-
-
 def word(*factors, coeff=1):
     """Single-term word: coeff * product of generators."""
     coeff = Fraction(coeff)
@@ -102,15 +98,6 @@ class RelationResult:
     passed: bool
     max_deviation: float
     exact: bool
-
-    def to_dict(self):
-        return {
-            "name": self.name,
-            "family": self.family,
-            "pass": self.passed,
-            "max_deviation": self.max_deviation,
-            "exact": self.exact,
-        }
 
 
 # ---------------------------------------------------------------------------

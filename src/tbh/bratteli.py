@@ -49,17 +49,6 @@ class BratteliDiagram:
         except ValueError:
             raise VertexNotFound(f"{lam} not at rank {rank}") from None
 
-    def __eq__(self, other):
-        if not isinstance(other, BratteliDiagram):
-            return NotImplemented
-        return (
-            self.levels == other.levels
-            and self.edges == other.edges
-            and (self.params.a, self.params.b, self.params.p, self.params.q, self.params.k)
-            == (other.params.a, other.params.b, other.params.p, other.params.q, other.params.k)
-        )
-
-    __hash__ = None
 
 
 def build_diagram(params: HeckeParams, max_height=None) -> BratteliDiagram:

@@ -21,17 +21,20 @@ sums, integral for gl_n; they are built once per oracle into the read-only
 mapping ``TensorOracle.images``, which every stage reads.
 
 Sums and scalar shifts of operators are linear words, run through the
-same word evaluator as the relations.  Relations that only hold on U are
-checked on the sparse inclusion columns J; identities that hold
-ambient-wide (commutant, factor-difference identity, twist shifts) are
-checked on all ambient columns.  Both are exact comparisons of sparse
-column lists.  Spectral multiplicities come from exact ranks computed
-one connected block at a time (``matrices.rank_of_columns``):
-the fraction-free ``rank_exact`` only ever sees one block, never the whole
-module, and no numerical eigensolver is involved.
+same word evaluator as the relations, and every stage reads ``images``
+through that evaluator.  Relation transport and spectra run on U, through
+the sparse inclusion columns J: spectra ranks the image of z_i - c on U
+for each predicted eigenvalue c.  The commutant, the factor-difference
+identities and the twist stage (z_i = x_i + y_i - m_i) hold ambient-wide
+and run on all ambient columns.  Every comparison is exact.  Spectral
+multiplicities come from exact ranks computed one connected block at a
+time (``matrices.rank_of_columns``): the fraction-free ``rank_exact`` only
+ever sees one block, never the whole module, and no numerical eigensolver
+is involved.
 
 Two caps bound the work.  ``MAX_CARRIER_DIM`` bounds the ambient carrier,
-on which the commutant, transport and twist stages build their operators.
+on which the generator images are built and the commutant,
+factor-difference and twist stages run.
 ``MAX_BLOCK_DIM`` bounds the largest gl_n weight space of the ambient
 carrier, which contains every rank block: the z_i commute with every E_jj.
 """
@@ -53,7 +56,6 @@ from .errors import (
     FactorOutOfRange,
     HeightExceeded,
     InvariantViolation,
-    RelationFailure,
     SpectrumMismatch,
 )
 from .matrices import SparseOperator, rank_of_columns
@@ -133,21 +135,18 @@ def _swapped(w, a, b):
     return tuple(s)
 
 
-def _linear_word(terms, const=0):
-    """The word sum_j c_j g_j + const and the assignment g_j -> op_j.
+def _linear_operator(dim, terms, const=0) -> SparseOperator:
+    """sum_j c_j op_j + const for the (c_j, op_j) pairs of ``terms``.
 
-    ``terms`` are (c_j, op_j) pairs.  A sum or scalar shift of operators is
-    this word, evaluated on the identity columns by the word evaluator, so
-    operators need no arithmetic of their own.
+    The sum is the word sum_j c_j g_j + const under g_j -> op_j, evaluated
+    on the identity columns by the word evaluator, so operators need no
+    arithmetic of their own.
     """
     word = algebra.wadd(
         algebra.wconst(const), *(algebra.word(j, coeff=c) for j, (c, _) in enumerate(terms))
     )
-    return word, {j: op for j, (_, op) in enumerate(terms)}
-
-
-def _linear_operator(dim, terms, const=0) -> SparseOperator:
-    return SparseOperator(algebra.evaluate_word(*_linear_word(terms, const), dim=dim))
+    assignment = {j: op for j, (_, op) in enumerate(terms)}
+    return SparseOperator(algebra.evaluate_word(word, assignment, dim=dim))
 
 
 def leg_swap(carrier: Carrier, l1: int, l2: int) -> SparseOperator:
@@ -323,13 +322,6 @@ class TensorOracle:
             self._gamma_cache[key] = gamma_pair(self.carrier, fa, fb)
         return self._gamma_cache[key]
 
-    def _sum(self, terms, const=0) -> SparseOperator:
-        return _linear_operator(self.carrier.dim, terms, const)
-
-    def _gamma_terms(self, kind, i, coeff):
-        """coeff * gamma_{F,i} for the head factors F of ``kind``, then for l < i."""
-        return [(coeff, self.gamma(f, i)) for f in _HEADS[kind] + tuple(range(1, i))]
-
     @cached_property
     def images(self):
         """Generator -> twisted image, built on first read and shared by every stage.
@@ -339,17 +331,19 @@ class TensorOracle:
         for l < i; z_0 is gamma_{M,N}; w_i is z_i minus the shift.  All but
         the w_i are integral.  The mapping is read-only.
         """
-        k = self.params.k
+        k, dim = self.params.k, self.carrier.dim
         out = {}
         for i in range(1, k):
             legs = self.carrier.legs(i) + self.carrier.legs(i + 1)
             out[(algebra.T, i)] = leg_swap(self.carrier, *legs)
         for i in range(1, k + 1):
-            for kind in _HEADS:
-                out[(kind, i)] = self._sum(self._gamma_terms(kind, i, 1))
+            for kind, heads in _HEADS.items():
+                factors = heads + tuple(range(1, i))
+                out[(kind, i)] = _linear_operator(dim, [(1, self.gamma(f, i)) for f in factors])
         out[(algebra.Z, 0)] = self.gamma("M", "N")
         for i in range(k + 1):
-            out[(algebra.W, i)] = self._sum([(1, out[(algebra.Z, i)])], -self.params.shift)
+            z = out[(algebra.Z, i)]
+            out[(algebra.W, i)] = _linear_operator(dim, [(1, z)], -self.params.shift)
         return MappingProxyType(out)
 
     @property
@@ -416,31 +410,29 @@ class TensorOracle:
         return preds
 
     def check_spectra(self):
-        """Annihilating polynomials and exact eigenvalue multiplicities."""
+        """Exact eigenvalue multiplicities of every z_i on U.
+
+        For each predicted eigenvalue c the image of z_i - c on U comes from
+        the evaluator on the inclusion columns J; J has full column rank, so
+        d - rank is the dimension of the c-eigenspace of z_i inside U, and
+        it must equal the predicted multiplicity.  The multiplicities must
+        also sum to d = dim U.  Then the eigenvectors found in U span U, so
+        z_i preserves U, acts on it diagonalizably with exactly the
+        predicted eigenvalues, and the product of the z_i - c vanishes on
+        U: no annihilating polynomial needs to be applied.
+        """
         preds = self.predicted_spectra()
         d = self.module_dim
         report = []
         for i, pred in enumerate(preds):
-            op = self.images[(algebra.Z, i)]
             total = sum(pred.values())
             if total != d:
                 raise SpectrumMismatch(
                     f"predicted multiplicities for z_{i} sum to {total}, dim is {d}"
                 )
-            shifted = {c: self._sum([(1, op)], -c) for c in pred}
-            lowest, *rest = sorted(pred)
-            # the image under z_i - lowest starts the annihilating chain and
-            # gives that eigenvalue's rank
-            first = shifted[lowest].apply(self.inclusion_columns)
-            cols = first
-            for c in rest:
-                cols = shifted[c].apply(cols)
-            if any(cols):
-                raise SpectrumMismatch(f"annihilating polynomial of z_{i} is nonzero")
             for c, mult in sorted(pred.items()):
-                # rank of the restriction as a map out of the submodule
-                image = first if c == lowest else shifted[c].apply(self.inclusion_columns)
-                rank = rank_of_columns(image)
+                shifted = algebra.wadd(algebra.word((algebra.Z, i)), algebra.wconst(-c))
+                rank = rank_of_columns(self.evaluate_on_inclusion(shifted, self.images))
                 if d - rank != mult:
                     raise SpectrumMismatch(
                         f"z_{i} eigenvalue {c}: multiplicity {d - rank}, predicted {mult}"
@@ -457,54 +449,49 @@ class TensorOracle:
             raise SpectrumMismatch(f"dimension count {total} != dim U {self.module_dim}")
         return total
 
+    def _check_ambient(self, catalog):
+        """Run a catalog over ``images`` on every ambient identity column."""
+        return algebra.require_passed(
+            algebra.check_relations(
+                catalog, self.images, algebra.definitions(self.params), dim=self.carrier.dim
+            )
+        )
+
     def check_factor_difference(self):
-        """x_{i+1} - t x_i t = y_{i+1} - t y_i t = z_{i+1} - t z_i t = gamma_{i,i+1}.
+        """x_{i+1} - t_i x_i t_i = t_i, and likewise for y and z, ambient-wide.
 
-        An ambient operator identity for the untwisted action; checked on
-        doubled operators to stay integral.  On two copies of V,
-        gamma_{i,i+1} is the single leg swap t_i, so the right side is t_i:
-        the cached gamma_{i,i+1} is a term of the left side and would
-        cancel against itself.
+        The left side is gamma_{i,i+1}, which on two copies of V is the leg
+        swap t_i.  The twisted images differ from the untwisted ones by one
+        constant per family, which cancels under conjugation by t_i, so the
+        twisted images are checked as they are.  Returns the number of i
+        checked.
         """
-        k = self.params.k
-        difference = algebra.wsub(algebra.word("b"), algebra.word("t", "a", "t"))
-        for i in range(1, k):
-            t = self.images[(algebra.T, i)]
-            expected = algebra.evaluate_word(algebra.word("t", coeff=2), {"t": t})
-            for kind in _HEADS:
-                ops = {
-                    "t": t,
-                    "a": self.untwisted_doubled(kind, i),
-                    "b": self.untwisted_doubled(kind, i + 1),
-                }
-                if algebra.evaluate_word(difference, ops) != expected:
-                    raise RelationFailure(f"{kind} factor difference at {i}", "nonzero")
-        return k - 1
-
-    def untwisted_doubled(self, kind, i) -> SparseOperator:
-        """2 * (untwisted image of x_i, y_i or z_i, i >= 1): integral since 2 * (n/2) = n.
-
-        Twice the gamma sum of the twisted image plus n per head factor:
-        2(gamma_M,i + sum gamma) + n for x_i, likewise with N for y_i, and
-        2(gamma_M,i + gamma_N,i + sum gamma) + 2n for z_i.  Built from the
-        gammas, not read from ``images``, so that check_twist_shifts
-        compares two constructions.
-        """
-        return self._sum(self._gamma_terms(kind, i, 2), self.n * len(_HEADS[kind]))
+        k, t = self.params.k, algebra.T
+        catalog = [
+            algebra.RelationPair(
+                f"{kind}{i + 1} - t{i} {kind}{i} t{i} = t{i}",
+                "factor.difference",
+                algebra.wsub(algebra.word((kind, i + 1)), algebra.word((t, i), (kind, i), (t, i))),
+                algebra.word((t, i)),
+            )
+            for i in range(1, k)
+            for kind in _HEADS
+        ]
+        self._check_ambient(catalog)
+        return max(k - 1, 0)
 
     def check_twist_shifts(self):
-        """Twisted and untwisted images differ exactly by -n/2 per head factor.
+        """z_i = x_i + y_i - m_i for i >= 1, ambient-wide.
 
-        Compared at double scale so everything stays integral: the shift
-        is -n/2 for x_i and y_i, -n for z_i.  z_0 = gamma_{M,N} is not
-        twisted.
+        This is the ``z.definition`` slice of ``relations_braid``.  It holds
+        for the twisted images exactly when the twist shift of z_i is the
+        sum of those of x_i and y_i (-n/2 per head factor of ``_HEADS``).
+        m_i expands into the t images, not into gammas, so a wrong
+        gamma_{l,i} (l < i) fails it; a wrong gamma_{M,i} or gamma_{N,i}
+        shared by two images cancels here and is left to the factor
+        difference and transport.  Returns the number of i checked.
         """
         k = self.params.k
-        for i in range(1, k + 1):
-            for kind, heads in _HEADS.items():
-                doubled = algebra.evaluate_word(*_linear_word([(2, self.images[(kind, i)])]))
-                untwisted = self.untwisted_doubled(kind, i)
-                shifted = algebra.evaluate_word(*_linear_word([(1, untwisted)], -self.n * len(heads)))
-                if doubled != shifted:
-                    raise RelationFailure(f"{kind} twist shift at {i}", "nonzero")
+        catalog = [r for r in algebra.relations_braid(k) if r.family == "z.definition"]
+        self._check_ambient(catalog)
         return k

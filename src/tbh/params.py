@@ -4,12 +4,12 @@ The pair of rectangles is normalized on construction so that p >= q, and
 a >= b whenever p == q: the parent/child case analysis of the partition
 combinatorics assumes exactly that ordering, and the two rectangles play
 symmetric roles otherwise.  ``normalized`` records whether a swap happened
-so the CLI can print a notice.
+so the CLI can print a notice; it takes no part in equality or hashing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 
@@ -20,7 +20,7 @@ class HeckeParams:
     p: int
     q: int
     k: int = 0
-    normalized: bool = False
+    normalized: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         for name in ("a", "b", "p", "q"):

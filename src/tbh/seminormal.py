@@ -325,9 +325,6 @@ class CriteriaReport:
     k: int
     items: dict  # item label -> number of instances checked
 
-    def to_dict(self):
-        return {"lambda": list(self.lam), "k": self.k, "checked": dict(self.items)}
-
 
 def check_criteria(lam, params: HeckeParams, k: int) -> CriteriaReport:
     """Verify the six entry criteria over the whole basis.

@@ -202,7 +202,7 @@ def isotypic_multiplicity(oracle: TensorOracle, lam):
     get = lambda i: lam[i - 1] if i <= len(lam) else 0
     for j in range(oracle.n):
         weight_op = elementary_action(oracle.carrier, j, j, legs)
-        ops.append(oracle._sum([(1, weight_op)], -get(j + 1)))
+        ops.append(_linear_operator(oracle.carrier.dim, [(1, weight_op)], -get(j + 1)))
     images = [op.apply(oracle.inclusion_columns) for op in ops]
     # one column per inclusion column, its images stacked under keys (op, row)
     stacked = [

@@ -197,6 +197,19 @@ def test_json_round_trip():
     assert again == diagram
 
 
+def test_json_round_trip_of_normalized_params_and_height():
+    # from_json rebuilds params that need no swap; they still compare equal.
+    diagram = build_diagram(HeckeParams(1, 2, 1, 1, 2), max_height=2)
+    again = from_json(export(diagram, "json"))
+    assert diagram.params.normalized and not again.params.normalized
+    assert again.params == diagram.params
+    assert again == diagram and hash(again) == hash(diagram)
+    # the recorded height is part of the diagram
+    assert build_diagram(HeckeParams(1, 1, 1, 1, 0), max_height=5) != build_diagram(
+        HeckeParams(1, 1, 1, 1, 0)
+    )
+
+
 def test_json_golden():
     # Frozen after first run; guards serialization schema drift.
     import json

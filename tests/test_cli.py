@@ -180,6 +180,18 @@ def test_validation_errors(capsys):
     assert code == 2  # not weakly decreasing
 
 
+def test_negative_k_and_nonpositive_counts_exit_validation(capsys):
+    rect = ["--a", "1", "--b", "1", "--p", "1", "--q", "1"]
+    code, _, err = run(["dims", *rect, "--k", "-1"], capsys)
+    assert code == 2 and "k must be a nonnegative integer" in err
+    code, _, err = run(["oracle", *rect, "--k", "1", "--n", "0"], capsys)
+    assert code == 2 and "--n: must be positive" in err
+    for jobs in ("0", "-3"):
+        code, out, err = run(["seminormal", *rect, "--k", "0", "--all-lambda", "--jobs", jobs], capsys)
+        assert code == 2 and "--jobs: must be positive" in err
+        assert out == ""
+
+
 def test_module_entrypoint_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "tbh.cli", "dims",

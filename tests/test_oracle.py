@@ -325,6 +325,8 @@ def test_twist_shift_and_factor_difference():
     oracle = TensorOracle(HeckeParams(1, 1, 1, 1, 2), 2)
     assert oracle.check_twist_shifts() == 2
     assert oracle.check_factor_difference() == 1
+    k0 = TensorOracle(HeckeParams(1, 1, 1, 1, 0), 2)
+    assert (k0.check_twist_shifts(), k0.check_factor_difference()) == (0, 0)
 
 
 def _bumped(op, j, row):
@@ -346,35 +348,70 @@ def test_commutant_negative_control_moved_t_column():
         oracle.check_commutant()
 
 
-def test_factor_difference_negative_control_gamma_entry():
-    # x_2, y_2 and z_2 are built from the corrupted gamma_{1,2}, patched in
-    # before the images are first read; the right side, the leg swap t_1,
-    # is not, so the difference shows.
-    oracle = TensorOracle(HeckeParams(1, 1, 1, 1, 2), 2)
+def _bump_gamma(oracle, key):
+    """Raise entry (0, 0) of gamma_key before the images are first read."""
     gamma = oracle.gamma
-    bad = _bumped(gamma(1, 2), 0, 0)
-    oracle.gamma = lambda fa, fb: bad if (fa, fb) == (1, 2) else gamma(fa, fb)
-    with pytest.raises(RelationFailure, match="factor difference at 1"):
+    bad = _bumped(gamma(*key), 0, 0)
+    oracle.gamma = lambda fa, fb: bad if (fa, fb) == key else gamma(fa, fb)
+
+
+def test_factor_difference_negative_control_gamma_entry():
+    # x_2, y_2 and z_2 are built from the corrupted gamma_{1,2}; the right
+    # side, the leg swap t_1, is not, so the difference shows.
+    oracle = TensorOracle(HeckeParams(1, 1, 1, 1, 2), 2)
+    _bump_gamma(oracle, (1, 2))
+    with pytest.raises(RelationFailure, match=r"x2 - t1 x1 t1 = t1"):
+        oracle.check_factor_difference()
+
+
+def test_factor_difference_negative_control_head_gamma():
+    # gamma_{M,1} enters x_1 and z_1 alike, so z_1 = x_1 + y_1 - m_1 cannot
+    # see it; conjugating x_1 by t_1 no longer gives the x_2 head term.
+    oracle = TensorOracle(HeckeParams(1, 1, 1, 1, 2), 2)
+    _bump_gamma(oracle, ("M", 1))
+    oracle.check_twist_shifts()
+    with pytest.raises(RelationFailure, match=r"x2 - t1 x1 t1 = t1"):
         oracle.check_factor_difference()
 
 
 def test_twist_shift_negative_control_x_entry():
-    # The untwisted x_1 is built from the gammas, not read from the images,
-    # so a corrupted twisted image no longer differs from it by the shift.
+    # A corrupted x_1 image breaks z_1 = x_1 + y_1 - m_1.
     oracle = TensorOracle(HeckeParams(1, 1, 1, 1, 2), 2)
     oracle.images = {**oracle.images, (al.X, 1): _bumped(oracle.images[(al.X, 1)], 3, 5)}
-    with pytest.raises(RelationFailure, match="x twist shift at 1"):
+    with pytest.raises(RelationFailure, match=r"z1 = x1 \+ y1 - m1"):
+        oracle.check_twist_shifts()
+
+
+def test_twist_shift_negative_control_gamma_entry():
+    # gamma_{1,2} enters x_2, y_2 and z_2 alike; m_2 is the leg swap t_1,
+    # read from its own image.
+    oracle = TensorOracle(HeckeParams(1, 1, 1, 1, 2), 2)
+    _bump_gamma(oracle, (1, 2))
+    with pytest.raises(RelationFailure, match=r"z2 = x2 \+ y2 - m2"):
         oracle.check_twist_shifts()
 
 
 def test_spectra_negative_control_z_entry():
-    # One entry of z_1 raised by one: the annihilating polynomial or a
-    # multiplicity of z_1 must fail.
+    # One entry of z_1 raised by one: a multiplicity of z_1 must fail.
     oracle = TensorOracle(HeckeParams(1, 1, 1, 1, 1), 2)
     z1 = oracle.images[(al.Z, 1)]
     oracle.images = {**oracle.images, (al.Z, 1): _bumped(z1, 0, 1)}
     with pytest.raises(SpectrumMismatch, match="z_1"):
         oracle.check_spectra()
+
+
+def test_spectra_builds_no_operator_once_images_exist(monkeypatch):
+    # Spectra evaluates z_i - c on the inclusion columns; it builds no
+    # ambient operator of its own.
+    oracle = TensorOracle(HeckeParams(1, 1, 1, 1, 2), 3)
+    assert oracle.images
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("an operator was built")
+
+    monkeypatch.setattr(matrices.SparseOperator, "__init__", refuse)
+    report = oracle.check_spectra()
+    assert sum(r["multiplicity"] for r in report) == 3 * oracle.module_dim
 
 
 def test_images_are_read_only_and_shared():

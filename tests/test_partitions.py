@@ -357,6 +357,14 @@ def test_params_normalization():
     assert (params2.a, params2.b) == (2, 1)
 
 
+def test_normalized_params_equal_their_normal_form():
+    # The notice flag is not part of the value.
+    swapped, plain = HeckeParams(1, 2, 1, 1, 2), HeckeParams(2, 1, 1, 1, 2)
+    assert swapped.normalized and not plain.normalized
+    assert swapped == plain and hash(swapped) == hash(plain)
+    assert len({swapped, plain}) == 1
+
+
 def test_as_partition_validation():
     assert as_partition((3, 1, 0, 0)) == (3, 1)
     with pytest.raises(ValueError):

@@ -129,19 +129,23 @@ def _top_level_references(tree):
     """(node, names it mentions) per top-level statement.
 
     A name counts when it appears as a variable, an attribute, or a string
-    constant (the benchmark tracer names the functions it wraps).
+    constant (the benchmark tracer names the functions it wraps).  A
+    variable that the statement binds itself, as a parameter or an
+    assignment target, is local there and does not count.
     """
     out = []
     for node in tree.body:
-        names = set()
+        names, variables, bound = set(), set(), set()
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name):
-                names.add(sub.id)
+                (bound if isinstance(sub.ctx, ast.Store) else variables).add(sub.id)
+            elif isinstance(sub, ast.arg):
+                bound.add(sub.arg)
             elif isinstance(sub, ast.Attribute):
                 names.add(sub.attr)
             elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
                 names.add(sub.value)
-        out.append((node, names))
+        out.append((node, names | (variables - bound)))
     return out
 
 
@@ -188,12 +192,22 @@ def test_every_package_definition_has_a_caller():
 
 
 def test_unreferenced_scan_flags_a_dead_definition():
+    # ``shadowed`` is named only where a parameter or a local variable of
+    # that name is bound, so nothing refers to the definition.
     defining = {
         "mod.py": (
             "def used():\n    return 1\n\n"
             "def dead(n):\n    return dead(n - 1) if n else used()\n\n"
+            "def shadowed():\n    return 2\n\n"
+            "def by_parameter(shadowed):\n    return shadowed\n\n"
             "class Kept:\n    pass\n"
         )
     }
-    referencing = {"driver.py": "from mod import Kept, dead\nprint(used(), Kept())\n"}
-    assert _unreferenced(defining, referencing) == ["mod.py:dead"]
+    referencing = {
+        "driver.py": (
+            "from mod import Kept, dead\n"
+            "print(used(), Kept(), by_parameter(3))\n"
+            "squares = [shadowed * shadowed for shadowed in range(3)]\n"
+        )
+    }
+    assert _unreferenced(defining, referencing) == ["mod.py:dead", "mod.py:shadowed"]
