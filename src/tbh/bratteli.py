@@ -52,6 +52,13 @@ class BratteliDiagram:
 
 
 def build_diagram(params: HeckeParams, max_height=None) -> BratteliDiagram:
+    """The diagram up to rank k+1, keeping shapes of at most max_height rows.
+
+    A max_height below the root rectangle's height p would leave every
+    rank above the root empty, so it raises ValueError.
+    """
+    if max_height is not None and max_height < params.p:
+        raise ValueError(f"max height {max_height} is below the root rectangle's height {params.p}")
     steps, last = levels_Pk(params, params.k, max_height)
     root = as_partition((params.a,) * params.p)
     levels = ((root,),) + tuple(_vertex_order(level) for level in steps + [last])

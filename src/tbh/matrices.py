@@ -9,6 +9,12 @@ Entries are exact only.  An operator is stored as integer numerators
 denominators; its rational columns ``cols`` are derived from them.  The
 word evaluator runs on ``num`` and ``den``, so it builds no Fraction.
 
+``independent_columns`` is the package's one exact elimination: a sparse,
+fraction-free elimination on columns, indexed by pivot row, that keeps
+each column independent of the ones before it.  ``young_image`` reads its
+kept columns and the oracle's spectra its rank; ``rank_exact`` is only a
+dense-rows front end of it.
+
 ``Matrix`` is a plain tuple-of-tuples with generic arithmetic and exact
 equality; nothing in the package builds one any more.  The tests use it
 as a dense reference, and the benchmark tracer wraps ``Matrix.__mul__``.
@@ -210,15 +216,16 @@ def integer_columns(columns):
     times ``den``; when every entry is an int, ``num`` is ``columns``
     itself.  Entries must be int or Fraction, else InexactEntry.
     """
-    den = 1
+    den, all_int = 1, True
     for col in columns:
         for v in col.values():
             if type(v) is not int:
                 if not isinstance(v, (int, Fraction)):
                     raise InexactEntry(f"column entry {v!r} is not an int or Fraction")
+                all_int = False
                 if den % v.denominator:
                     den = math.lcm(den, v.denominator)
-    return (columns if den == 1 else _scaled(columns, den)), den
+    return (columns if all_int else _scaled(columns, den)), den
 
 
 def as_operator(value) -> SparseOperator:
@@ -232,90 +239,61 @@ def identity_columns(n):
     return [{j: 1} for j in range(n)]
 
 
-def rank_exact(rows) -> int:
-    """Rank of a rectangular matrix with int or Fraction entries.
+def independent_columns(columns) -> dict:
+    """Index -> pivot row of each column independent of the columns before it.
 
-    Fraction-free (Bareiss style) elimination over the integers; Fraction
-    rows are cleared to integers first.  Exact for any input size; intended
-    for the desk-scale matrices that appear here.
+    The package's one exact elimination, sparse and fraction-free.  Columns
+    are {row: entry} dicts with int or Fraction entries (scaled to integers
+    by one common denominator first) whose row keys compare with each
+    other.  One dict maps each pivot row to its reduced column, stored
+    divided by its content with a positive entry at the pivot, which is the
+    column's smallest remaining row.  A new column is reduced only while
+    its leading row is a pivot; each step clears that row and touches no
+    smaller one.  The stored columns have distinct leading rows, so a
+    column left nonzero is independent of them and is kept under its
+    leading row, and a column reduced to zero is dependent.  So a column is
+    kept exactly when it is independent of the columns before it, the kept
+    indices come out in increasing order, and their number is the rank.
+
+    A column only meets the pivots at rows of its own reduced support.  So
+    on columns that each lie in one gl_n weight space, such as the images
+    of z_i - c on the oracle's carrier, every pivot a column meets lies in
+    its weight space, and the work per column is bounded by the largest
+    weight space.
     """
-    work = []
-    for row in rows:
-        row = list(row)
-        # Every non-int entry must carry a denominator.  An exact type test:
-        # isinstance(x, Fraction) goes through the numbers ABCs per int cell.
-        denoms = [x.denominator for x in row if type(x) is not int]
-        if denoms:
-            lcm = 1
-            for d in denoms:
-                lcm = lcm * d // math.gcd(lcm, d)
-            row = [int(x * lcm) for x in row]
-        else:
-            row = [int(x) for x in row]
-        work.append(row)
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
-    prev_pivot = 1
-    row_idx = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(row_idx, len(work)):
-            if work[r][col] != 0:
-                pivot_row = r
+    num, _ = integer_columns(columns)
+    pivots = {}  # pivot row -> reduced column, zero at every smaller row
+    kept = {}
+    for j, col in enumerate(num):
+        vec = {i: v for i, v in col.items() if v}
+        while vec:
+            lead = min(vec)
+            row = pivots.get(lead)
+            if row is None:
+                g = math.gcd(*vec.values())
+                if vec[lead] < 0:
+                    g = -g
+                pivots[lead] = vec if g == 1 else {i: v // g for i, v in vec.items()}
+                kept[j] = lead
                 break
-        if pivot_row is None:
-            continue
-        work[row_idx], work[pivot_row] = work[pivot_row], work[row_idx]
-        pivot = work[row_idx][col]
-        row_p = work[row_idx]
-        for r in range(row_idx + 1, len(work)):
-            factor = work[r][col]
-            row_r = work[r]
-            # Bareiss update: every entry is a minor, so the division is exact.
-            work[r] = [(pivot * row_r[c] - factor * row_p[c]) // prev_pivot for c in range(ncols)]
-        prev_pivot = pivot
-        row_idx += 1
-        rank += 1
-        if row_idx == len(work):
-            break
-    return rank
+            a, b = vec[lead], row[lead]
+            g = math.gcd(a, b)
+            a, b = a // g, b // g
+            if b != 1:
+                vec = {i: b * v for i, v in vec.items()}
+            for i, r in row.items():
+                v = vec.get(i, 0) - a * r
+                if v:
+                    vec[i] = v
+                else:
+                    del vec[i]
+    return kept
 
 
-def rank_of_columns(columns) -> int:
-    """Exact rank of a matrix given as sparse columns ({row: entry} dicts).
+def rank_exact(rows) -> int:
+    """Rank of a dense matrix of int or Fraction entries, given as rows.
 
-    Union-find joins two columns whenever they share a nonzero row.  After
-    permuting rows and columns the matrix is block diagonal in these
-    components, so its rank is the sum of the block ranks; each block goes
-    to ``rank_exact`` as dense rows over its own row support, and
-    ``rank_exact`` never sees more than one block.  Row keys may be any
-    hashable values.  On the oracle's shifted z_i images the blocks lie
-    inside gl_n weight spaces, since the z_i commute with every E_jj, but
-    nothing here relies on that.
+    The rank of the rows, each taken as a sparse column of
+    ``independent_columns``.
     """
-    parent = list(range(len(columns)))
-
-    def find(j):
-        while parent[j] != j:
-            parent[j] = parent[parent[j]]
-            j = parent[j]
-        return j
-
-    first_column = {}  # row -> the first column with a nonzero entry there
-    for j, col in enumerate(columns):
-        for r, v in col.items():
-            if v:
-                root, other = find(j), find(first_column.setdefault(r, j))
-                if root != other:
-                    parent[other] = root
-    blocks = {}
-    for j, col in enumerate(columns):
-        if any(col.values()):
-            blocks.setdefault(find(j), []).append(col)
-    rank = 0
-    for block in blocks.values():
-        rows = dict.fromkeys(r for col in block for r in col)
-        rank += rank_exact([[col.get(r, 0) for col in block] for r in rows])
-    return rank
+    return len(independent_columns([{c: x for c, x in enumerate(row) if x} for row in rows]))

@@ -13,10 +13,11 @@ sum of words:
 * E_ij turns one letter j into i, summed over the legs;
 * a Young symmetrizer is a signed sum of leg permutations.
 
-``young_image`` keeps the symmetrizer columns that exact integer
-elimination over all of them finds independent, so the dimension of the
-image is certified to be the Weyl dimension, and it checks that the
-symmetrizer is quasi-idempotent on them.  The generator images are gamma
+``young_image`` runs every symmetrizer column through the exact
+elimination ``matrices.independent_columns`` and keeps the ones
+independent of those before them, so the dimension of the image is
+certified to be the Weyl dimension, and it checks that the symmetrizer is
+quasi-idempotent on them.  The generator images are gamma
 sums, integral for gl_n; they are built once per oracle into the read-only
 mapping ``TensorOracle.images``, which every stage reads.
 
@@ -26,17 +27,21 @@ through that evaluator.  Relation transport and spectra run on U, through
 the sparse inclusion columns J: spectra ranks the image of z_i - c on U
 for each predicted eigenvalue c.  The commutant, the factor-difference
 identities and the twist stage (z_i = x_i + y_i - m_i) hold ambient-wide
-and run on all ambient columns.  Every comparison is exact.  Spectral
-multiplicities come from exact ranks computed one connected block at a
-time (``matrices.rank_of_columns``): the fraction-free ``rank_exact`` only
-ever sees one block, never the whole module, and no numerical eigensolver
-is involved.
+and run on all ambient columns; the commutant is checked on the Chevalley
+generators E_{j,j+1} and E_{j+1,j}, which certifies all of gl_n.  Every
+comparison is exact.  Spectral multiplicities come from exact ranks, the
+number of columns kept by ``matrices.independent_columns``, a sparse
+fraction-free elimination indexed by pivot row.  Each column of
+(z_i - c) J lies in one gl_n weight space, since the columns of J do and
+the z_i commute with every E_jj, and it only meets pivots inside that
+weight space.  No numerical eigensolver is involved.
 
 Two caps bound the work.  ``MAX_CARRIER_DIM`` bounds the ambient carrier,
 on which the generator images are built and the commutant,
 factor-difference and twist stages run.
 ``MAX_BLOCK_DIM`` bounds the largest gl_n weight space of the ambient
-carrier, which contains every rank block: the z_i commute with every E_jj.
+carrier, and with it the part of the spectra elimination that one column
+can reach.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ from .errors import (
     InvariantViolation,
     SpectrumMismatch,
 )
-from .matrices import SparseOperator, rank_of_columns
+from .matrices import SparseOperator, independent_columns
 from .params import HeckeParams
 from .partitions import as_partition, enum_Pk, gamma_rect, plain_contents, tableaux_to, weyl_dim
 
@@ -206,30 +211,6 @@ def _young_terms(lam):
     ]
 
 
-def _independent_columns(cols):
-    """The integer columns independent of the ones before them, in order.
-
-    Exact fraction-free elimination on sparse columns: each kept column is
-    reduced against the earlier pivots and stored, divided by its content,
-    under its smallest remaining row.
-    """
-    kept = []
-    echelon = []  # (pivot row, reduced column), zero at every earlier pivot
-    for col in cols:
-        vec = col
-        for piv, row in echelon:
-            a = vec.get(piv)
-            if a:
-                b = row[piv]
-                vec = {i: b * vec.get(i, 0) - a * row.get(i, 0) for i in vec.keys() | row.keys()}
-                vec = {i: v for i, v in vec.items() if v}
-        if vec:
-            g = math.gcd(*vec.values())
-            echelon.append((min(vec), {i: v // g for i, v in vec.items()}))
-            kept.append(col)
-    return kept
-
-
 def young_image(lam, n: int):
     """Sparse integer basis columns of the symmetrizer image in V^{x|lam|}.
 
@@ -248,7 +229,8 @@ def young_image(lam, n: int):
     y = _leg_operator(
         Carrier(n, m, 0, 0), lambda w: ((tuple(w[s] for s in src), sign) for sign, src in terms)
     )
-    basis = _independent_columns(y.cols)
+    cols = y.cols
+    basis = [cols[j] for j in independent_columns(cols)]
     if not basis:
         raise InvariantViolation(f"symmetrizer for {lam} is zero")
     images = y.apply(basis)
@@ -273,9 +255,10 @@ def _validate_caps(params: HeckeParams, carrier: Carrier):
     """Refuse a configuration before any operator is built.
 
     The carrier cap bounds the carrier-wide operators; the block cap bounds
-    the largest rank block, which lies in one weight space.  The carrier
-    cap alone lets (1,1,1,1) n=2 k=12 through: carrier 16,384, but a weight
-    space of 3,432, far past any exact elimination at desk scale.
+    the largest weight space, the reach of one column in a spectra
+    elimination.  The carrier cap alone lets (1,1,1,1) n=2 k=12 through:
+    carrier 16,384, but a weight space of 3,432, far past any exact
+    elimination at desk scale.
     """
     if params.p + params.q > carrier.n:
         raise CapExceeded(f"p + q = {params.p + params.q} exceeds n = {carrier.n}")
@@ -376,21 +359,30 @@ class TensorOracle:
         )
 
     def check_commutant(self):
-        """Generator images commute with every E_ij action, ambient-exact.
+        """Generator images commute with all of gl_n, ambient-exact.
 
         Checked on the integral generating family t_i, x_i, y_i, z_i; the
         shifted w_i differ from z_i by central scalars, so nothing more is
-        needed.  The columns of G E and E G are compared, each computed by
-        applying one sparse operator to the columns of the other.
+        needed.  Each generator G is checked against the 2(n-1) Chevalley
+        generators E_{j,j+1} and E_{j+1,j} only.  That certifies all n^2
+        E_ij: the operators commuting with G form a subspace closed under
+        brackets, the Chevalley generators generate sl_n as a Lie algebra
+        ([E_{j,j+1}, E_{j+1,j}] = E_jj - E_{j+1,j+1}, and brackets of
+        neighbours reach every E_ij with i != j), and gl_n is sl_n plus
+        the span of sum_j E_jj, which acts on the carrier as the number of
+        legs times the identity and so commutes with everything.  The
+        columns of G E and E G are compared, each computed by applying one
+        sparse operator to the columns of the other.  ``pairs_checked`` is
+        the number of (E_ij, G) pairs certified, n^2 per generator.
         """
         gens = {g: op for g, op in self.images.items() if g[0] != algebra.W}
         legs = tuple(range(self.carrier.total_legs))
-        for i in range(self.n):
-            for j in range(self.n):
-                e = elementary_action(self.carrier, i, j, legs)
+        for j in range(self.n - 1):
+            for i, l in ((j, j + 1), (j + 1, j)):
+                e = elementary_action(self.carrier, i, l, legs)
                 for name, g in gens.items():
                     if g.apply(e.cols) != e.apply(g.cols):
-                        raise CommutantFailure(f"{name} does not commute with E[{i},{j}]")
+                        raise CommutantFailure(f"{name} does not commute with E[{i},{l}]")
         return {"pairs_checked": self.n**2 * len(gens)}
 
     def predicted_spectra(self):
@@ -413,9 +405,13 @@ class TensorOracle:
         """Exact eigenvalue multiplicities of every z_i on U.
 
         For each predicted eigenvalue c the image of z_i - c on U comes from
-        the evaluator on the inclusion columns J; J has full column rank, so
+        the evaluator on the inclusion columns J, and its rank is the number
+        of those columns that ``matrices.independent_columns`` keeps (its
+        integer scaling changes no rank).  J has full column rank, so
         d - rank is the dimension of the c-eigenspace of z_i inside U, and
-        it must equal the predicted multiplicity.  The multiplicities must
+        it must equal the predicted multiplicity.  Each image column lies in
+        one gl_n weight space and meets only pivots there, so no blocking
+        is needed to keep the elimination local.  The multiplicities must
         also sum to d = dim U.  Then the eigenvectors found in U span U, so
         z_i preserves U, acts on it diagonalizably with exactly the
         predicted eigenvalues, and the product of the z_i - c vanishes on
@@ -432,7 +428,7 @@ class TensorOracle:
                 )
             for c, mult in sorted(pred.items()):
                 shifted = algebra.wadd(algebra.word((algebra.Z, i)), algebra.wconst(-c))
-                rank = rank_of_columns(self.evaluate_on_inclusion(shifted, self.images))
+                rank = len(independent_columns(self.evaluate_on_inclusion(shifted, self.images)))
                 if d - rank != mult:
                     raise SpectrumMismatch(
                         f"z_{i} eigenvalue {c}: multiplicity {d - rank}, predicted {mult}"

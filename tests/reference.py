@@ -5,7 +5,7 @@ shifted contents c_T(i) (``shifted_content``, ``box``), tableau moves
 rebuilt from them (``apply_si``, ``apply_s0``, ``from_content_list``), a
 brute-force partition enumeration, Casimir
 operators assembled from leg swaps, the highest-weight count of an
-isotypic component, and the longer Hecke presentation
+isotypic component, a dense Fraction rank, and the longer Hecke presentation
 ``relations_consolidated``, run as a second relation suite beside
 ``algebra.relations_short``.
 """
@@ -20,7 +20,7 @@ from math import comb
 from tbh.algebra import T, X, Y, Z, RelationPair, _sym_group_relations, wadd, wconst, wmul, word
 from tbh.bratteli import BratteliDiagram, dimension_vector
 from tbh.errors import FactorOutOfRange, InvariantViolation, NotInP, TbhError
-from tbh.matrices import SparseOperator, rank_of_columns
+from tbh.matrices import SparseOperator, independent_columns
 from tbh.oracle import Carrier, TensorOracle, _linear_operator, elementary_action, gamma_pair, leg_swap
 from tbh.params import HeckeParams
 from tbh.partitions import (
@@ -209,7 +209,45 @@ def isotypic_multiplicity(oracle: TensorOracle, lam):
         {(o, r): v for o, col in enumerate(cols) for r, v in col.items()}
         for cols in zip(*images)
     ]
-    return oracle.module_dim - rank_of_columns(stacked)
+    return oracle.module_dim - len(independent_columns(stacked))
+
+
+# ---------------------------------------------------------------------------
+# dense exact rank
+
+
+def reference_rank(rows):
+    """Rank of dense rows by Gauss-Jordan elimination over Fraction."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    ri = 0
+    if not rows:
+        return 0
+    for c in range(len(rows[0])):
+        piv = next((r for r in range(ri, len(rows)) if rows[r][c] != 0), None)
+        if piv is None:
+            continue
+        rows[ri], rows[piv] = rows[piv], rows[ri]
+        pv = rows[ri][c]
+        for r in range(len(rows)):
+            if r != ri and rows[r][c] != 0:
+                f = rows[r][c] / pv
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[ri])]
+        ri += 1
+        rank += 1
+    return rank
+
+
+def reference_independent_columns(columns):
+    """Indices of the sparse columns that raise the dense rank of those before them."""
+    rows = list(dict.fromkeys(r for col in columns for r in col))
+    kept, rank = [], 0
+    for j in range(len(columns)):
+        prefix = reference_rank([[col.get(r, 0) for r in rows] for col in columns[: j + 1]])
+        if prefix > rank:
+            kept.append(j)
+            rank = prefix
+    return kept
 
 
 # ---------------------------------------------------------------------------

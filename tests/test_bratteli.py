@@ -172,6 +172,14 @@ def test_height_truncation():
     assert diagram.levels[2] == ((3,), (2, 1))
 
 
+def test_height_below_the_root_is_refused():
+    # The root (a^p) has height p; any lower cap would empty every later rank.
+    assert build_diagram(HeckeParams(2, 2, 2, 2, 1), max_height=2).levels[1] == ((4, 4),)
+    for abpq, height in (((1, 1, 1, 1), -1), ((1, 1, 1, 1), 0), ((2, 2, 2, 2), 1)):
+        with pytest.raises(ValueError, match="below the root rectangle's height"):
+            build_diagram(HeckeParams(*abpq, 1), max_height=height)
+
+
 @pytest.mark.parametrize("max_height", [None, 2, 3])
 def test_levels_and_edges_match_one_box_additions(max_height):
     params = HeckeParams(2, 1, 2, 1, 3)

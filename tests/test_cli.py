@@ -192,6 +192,18 @@ def test_negative_k_and_nonpositive_counts_exit_validation(capsys):
         assert out == ""
 
 
+def test_max_height_below_the_root_exits_validation(capsys):
+    # Both commands used to exit 0 with every rank above the root empty.
+    for rect, height in (((1, 1, 1, 1), "-1"), ((2, 2, 2, 2), "1")):
+        args = [f"--{name}={value}" for name, value in zip("abpq", rect)]
+        for command in ("dims", "bratteli"):
+            code, out, err = run([command, *args, "--k", "1", "--max-height", height], capsys)
+            assert code == 2 and "below the root rectangle's height" in err
+            assert out == ""
+    code, out, _ = run(["dims", "--a=2", "--b=2", "--p=2", "--q=2", "--k=1", "--max-height=2"], capsys)
+    assert code == 0 and "rank 2: (5,4):1" in out
+
+
 def test_module_entrypoint_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "tbh.cli", "dims",

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tbh.errors import DimensionMismatch
-from tbh.matrices import Matrix, rank_exact, rank_of_columns
+from tbh.errors import DimensionMismatch, InexactEntry
+from tbh.matrices import Matrix, independent_columns, rank_exact
+
+from reference import reference_independent_columns, reference_rank
 
 
 def test_identity_is_neutral():
@@ -35,27 +37,6 @@ def test_scalar_multiplication_keeps_exactness():
     assert b.rows[0][0] == 2 and isinstance(b.rows[0][0], int)
 
 
-def _reference_rank(rows):
-    rows = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    ri = 0
-    if not rows:
-        return 0
-    for c in range(len(rows[0])):
-        piv = next((r for r in range(ri, len(rows)) if rows[r][c] != 0), None)
-        if piv is None:
-            continue
-        rows[ri], rows[piv] = rows[piv], rows[ri]
-        pv = rows[ri][c]
-        for r in range(len(rows)):
-            if r != ri and rows[r][c] != 0:
-                f = rows[r][c] / pv
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[ri])]
-        ri += 1
-        rank += 1
-    return rank
-
-
 def test_rank_exact_against_reference():
     rng = random.Random(7)
     for _ in range(200):
@@ -71,7 +52,7 @@ def test_rank_exact_against_reference():
                 [sum(a[i][t] * b[t][j] for t in range(r)) for j in range(m)]
                 for i in range(n)
             ]
-        assert rank_exact(prod) == _reference_rank(prod)
+        assert rank_exact(prod) == reference_rank(prod)
 
 
 def test_rank_exact_fraction_rows():
@@ -114,18 +95,53 @@ def block_sparse_columns(draw):
     return [{key(i): v for i, v in columns[j].items()} for j in order]
 
 
-@settings(max_examples=200, deadline=None)
-@given(block_sparse_columns())
-def test_rank_of_columns_matches_rank_exact(columns):
+@st.composite
+def sparse_columns(draw):
+    """Random sparse columns over a few rows, int or Fraction entries, often dependent.
+
+    A column is a random sparse vector or a small combination of earlier
+    columns, so that both kept and dependent columns occur.
+    """
+    entries = st.integers(-3, 3)
+    if draw(st.booleans()):
+        entries = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+    nrows = draw(st.integers(1, 6))
+    columns = []
+    for _ in range(draw(st.integers(0, 8))):
+        if columns and draw(st.booleans()):
+            picks = draw(st.lists(st.sampled_from(columns), min_size=1, max_size=3))
+            coeffs = draw(st.lists(entries, min_size=len(picks), max_size=len(picks)))
+            col = {}
+            for c, pick in zip(coeffs, picks):
+                for r, v in pick.items():
+                    col[r] = col.get(r, 0) + c * v
+        else:
+            rows = draw(st.lists(st.integers(0, nrows - 1), max_size=nrows, unique=True))
+            col = {r: draw(entries) for r in rows}
+        columns.append(col)
+    return columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(sparse_columns(), block_sparse_columns()))
+def test_independent_columns_matches_a_dense_reference(columns):
+    # The kept indices are exactly the columns that raise the dense Fraction
+    # rank of the ones before them; their number is the rank.
+    kept = independent_columns(columns)
+    assert list(kept) == reference_independent_columns(columns)
     rows = list(dict.fromkeys(r for col in columns for r in col))
-    dense = [[col.get(r, 0) for col in columns] for r in rows]
-    assert rank_of_columns(columns) == rank_exact(dense)
+    assert len(kept) == reference_rank([[col.get(r, 0) for col in columns] for r in rows])
+    assert len(set(kept.values())) == len(kept)  # one pivot row per kept column
 
 
-def test_rank_of_columns_examples():
-    assert rank_of_columns([]) == 0
-    assert rank_of_columns([{}, {0: 0}]) == 0
-    # two proportional columns share row "a": one block of rank 1
-    assert rank_of_columns([{"a": 2, "b": 4}, {}, {"a": 1, "b": 2}]) == 1
-    # disjoint supports: two blocks of rank 1
-    assert rank_of_columns([{(0, 1): Fraction(1, 2)}, {(1, 0): 3}]) == 2
+def test_independent_columns_examples():
+    assert independent_columns([]) == {}
+    assert independent_columns([{}, {0: 0}]) == {}
+    # proportional columns with string row keys: only the first is kept, under row "a"
+    assert independent_columns([{"a": 2, "b": 4}, {}, {"a": 1, "b": 2}]) == {0: "a"}
+    # tuple row keys and a Fraction entry: disjoint supports, both kept
+    assert independent_columns([{(0, 1): Fraction(1, 2)}, {(1, 0): 3}]) == {0: (0, 1), 1: (1, 0)}
+    # the second column's leading row is a pivot; reducing it leaves row "b"
+    assert independent_columns([{"a": 1}, {"a": 2, "b": Fraction(1, 3)}]) == {0: "a", 1: "b"}
+    with pytest.raises(InexactEntry):
+        independent_columns([{0: 0.5}])

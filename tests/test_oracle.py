@@ -348,6 +348,25 @@ def test_commutant_negative_control_moved_t_column():
         oracle.check_commutant()
 
 
+def test_commutant_negative_control_swap_inside_a_weight_space():
+    # t_1 with the images of the words 0001 and 0010 swapped still maps each
+    # weight space into itself, so it commutes with every E_jj; only the
+    # Chevalley generators E_{j,j+1} and E_{j+1,j} can see the corruption.
+    oracle = TensorOracle(HeckeParams(1, 1, 1, 1, 2), 2)
+    index, legs = oracle.carrier.index, tuple(range(oracle.carrier.total_legs))
+    first, second = index[(0, 0, 0, 1)], index[(0, 0, 1, 0)]
+    cols = list(oracle.images[(al.T, 1)].cols)
+    assert (cols[first], cols[second]) == ({second: 1}, {first: 1})
+    cols[first], cols[second] = cols[second], cols[first]
+    bad = SparseOperator(cols)
+    for j in range(2):
+        e = elementary_action(oracle.carrier, j, j, legs)
+        assert bad.apply(e.cols) == e.apply(bad.cols)
+    oracle.images = {**oracle.images, (al.T, 1): bad}
+    with pytest.raises(CommutantFailure, match=r"\('t', 1\) does not commute with E\[(0,1|1,0)\]"):
+        oracle.check_commutant()
+
+
 def _bump_gamma(oracle, key):
     """Raise entry (0, 0) of gamma_key before the images are first read."""
     gamma = oracle.gamma
@@ -466,17 +485,31 @@ def test_spectra_mismatch_detection():
 
 
 def test_spectra_mismatch_detection_across_blocks(monkeypatch):
-    # Carrier 243: the z_2 eigenspaces for 2 and -1 each span 45 rank blocks.
+    # Carrier 243, V^{x5} at n = 3, has 21 weight spaces.  The failing rank,
+    # of z_2 + 1 on U, is one elimination whose pivots fall in all 21; over
+    # the spectra's rank calls the pivots fall in more than 45 (call, weight
+    # space) blocks, each eliminated apart from the others.
     oracle = TensorOracle(HeckeParams(1, 1, 1, 1, 3), 3)
     skewed = oracle.predicted_spectra()
     assert (skewed[2][Fraction(2)], skewed[2][Fraction(-1)]) == (90, 45)
     skewed[2][Fraction(2)] -= 1
     skewed[2][Fraction(-1)] += 1
     oracle.predicted_spectra = lambda: skewed
-    blocks = []
-    monkeypatch.setattr(matrices, "rank_exact", lambda rows: blocks.append(rows) or rank_exact(rows))
+    calls = []
+    monkeypatch.setattr(
+        "tbh.oracle.independent_columns",
+        lambda cols: calls.append(matrices.independent_columns(cols)) or calls[-1],
+    )
     with pytest.raises(SpectrumMismatch, match="z_2 eigenvalue -1: multiplicity 45, predicted 46"):
         oracle.check_spectra()
+    words = list(oracle.carrier.index)
+
+    def weight(row):
+        return tuple(words[row].count(letter) for letter in range(3))
+
+    assert len(set(map(weight, range(oracle.carrier.dim)))) == 21
+    assert len({weight(row) for row in calls[-1].values()}) == 21
+    blocks = {(call, weight(row)) for call, kept in enumerate(calls) for row in kept.values()}
     assert len(blocks) > 45
 
 

@@ -120,6 +120,44 @@ def test_relations_still_fail_under_python_O():
     assert proc.stdout.split()[:3] == ["optimize", "1", "relation"], proc.stdout
 
 
+_SKEWED_SPECTRA = """
+import sys
+from tbh.errors import SpectrumMismatch
+from tbh.oracle import TensorOracle
+from tbh.params import HeckeParams
+
+oracle = TensorOracle(HeckeParams(1, 1, 1, 1, 2), 2)
+skewed = oracle.predicted_spectra()
+low, high = sorted(skewed[2])[:2]
+skewed[2][low] -= 1
+skewed[2][high] += 1
+oracle.predicted_spectra = lambda: skewed
+try:
+    oracle.check_spectra()
+except SpectrumMismatch as failure:
+    print("optimize", sys.flags.optimize, "spectrum", failure)
+else:
+    print("optimize", sys.flags.optimize, "passed")
+"""
+
+
+def test_spectra_still_fail_under_python_O():
+    # One unit of z_2 multiplicity moved between eigenvalues must fail the
+    # exact spectra in an interpreter that strips asserts.
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _SKEWED_SPECTRA],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # The sum still matches, so it is a rank that fails, not the sum check.
+    words = proc.stdout.split()
+    assert words[:5] == ["optimize", "1", "spectrum", "z_2", "eigenvalue"], proc.stdout
+
+
 # The one definition kept without a caller: the README documents it as the
 # inverse of the diagram export.
 ALLOWED_UNREFERENCED = {"src/tbh/bratteli.py:from_json"}
